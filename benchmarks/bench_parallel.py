@@ -30,7 +30,7 @@ from repro.evaluation.tables import Table
 from repro.evaluation.timing import timed
 from repro.runtime.parallel import choose_backend, parallel_evidence
 from repro.xmlio.dtd import parse_dtd
-from repro.xmlio.extract import extract_evidence
+from repro.learning.evidence import extract_evidence
 from repro.xmlio.parser import parse_file
 
 CORPUS_DTD = (

@@ -1,10 +1,6 @@
 """The unified inference façade: one entry point for every pipeline.
 
-Historically the repo grew five ways to get from XML to a DTD
-(``DTDInferencer.infer``, ``infer_from_evidence``,
-``infer_from_streaming``, the module-level ``infer_dtd`` and
-``runtime.parallel.infer_parallel``), each with its own argument
-conventions.  This module collapses them behind one function::
+Every way from XML to a DTD goes through one function::
 
     from repro.api import InferenceConfig, infer
 
@@ -21,10 +17,13 @@ XML literals, file paths, directories (expanded to their sorted
 frozen keyword-only dataclass that rejects illegal combinations at
 construction time, before any parsing starts.
 
-Every path through this function produces byte-identical DTDs to the
-legacy entry points — they now all share the same engine
-(:class:`~repro.core.inference.DTDInferencer`'s private finalizers) and
-are property-tested against each other in
+Batch runs fold the corpus into :mod:`repro.learning.evidence` in
+process; every streaming run — sharded or not, resilient or not,
+session appends included — goes through the one shard dispatcher
+(:func:`repro.runtime.parallel.parallel_evidence`), with checkpointed
+runs (:mod:`repro.ckpt`) wrapping it.  All of them finish in the same
+engine (:class:`~repro.core.inference.DTDInferencer`'s finalizers),
+and their outputs are property-tested byte-identical to each other in
 ``tests/integration/test_api.py``.
 """
 
@@ -257,8 +256,9 @@ class InferenceConfig:
                 )
             if self.shard_deadline is not None:
                 raise UsageError(
-                    "shard_deadline runs the resilient dispatcher, which "
-                    "does not checkpoint; drop it or drop state_dir"
+                    "state_dir checkpoints shards as they commit and does "
+                    "not retry them against a deadline; drop shard_deadline "
+                    "or drop state_dir"
                 )
             if faults is not None and (
                 faults.worker_crashes
@@ -269,8 +269,7 @@ class InferenceConfig:
             ):
                 raise UsageError(
                     "checkpointed runs support only kill_after_shards fault "
-                    "injection; other faults need the resilient dispatcher, "
-                    "which does not checkpoint"
+                    "injection; drop the other faults or drop state_dir"
                 )
 
     @property
@@ -282,11 +281,14 @@ class InferenceConfig:
 
     @property
     def resilient(self) -> bool:
-        """Whether the run engages the fault-tolerant runtime.
+        """Whether the run reports degradation.
 
         True for ``on_error="skip"``, an active fault plan, or a shard
-        deadline.  When False — the default — inference takes exactly
-        the code paths it took before the resilience layer existed.
+        deadline: the result then carries a
+        :class:`~repro.runtime.resilience.DegradationReport`.  Every
+        streaming run goes through the same fault-tolerant dispatcher
+        either way; a non-resilient run is simply one with an empty
+        fault plan in strict mode, whose report is not kept.
         """
         return (
             self.on_error == "skip"
@@ -312,7 +314,7 @@ class InferenceResult:
     degradation: "DegradationReport | None" = None
 
     def render(self) -> str:
-        """The DTD as text (identical to the legacy ``dtd.render()``)."""
+        """The DTD as text (identical to ``dtd.render()``)."""
         with self.recorder.span("emit", format="dtd"):
             return self.dtd.render()
 
@@ -366,32 +368,6 @@ def _require_surviving_documents(
         )
 
 
-def _load_item(
-    item: Document | str,
-    index: int,
-    *,
-    config: InferenceConfig,
-    degradation: "DegradationReport | None",
-    fault_plan: "FaultPlan | None",
-    max_quarantine: int | None,
-    recorder: Recorder,
-) -> Document | None:
-    """One document through the (possibly resilient) loading path."""
-    if degradation is not None:
-        from .runtime.resilience import load_document
-
-        return load_document(
-            item,
-            index,
-            plan=fault_plan,
-            on_error=config.on_error,
-            report=degradation,
-            max_quarantine=max_quarantine,
-            recorder=recorder,
-        )
-    return item if isinstance(item, Document) else parse_file(item, recorder)
-
-
 def _streaming_evidence(
     items: list[Document | str],
     config: InferenceConfig,
@@ -405,11 +381,12 @@ def _streaming_evidence(
     """Fold ``items`` into streaming evidence under ``config``.
 
     The streaming half of :func:`infer`, shared with
-    :meth:`InferenceSession.append`: all-path sources go through the
-    sharded (and, when configured, resilient) extraction pools;
-    anything else folds serially in-process.  ``index_offset`` shifts
-    document indexes on the serial path so a session's fault plan sees
-    corpus-global positions across appends.
+    :meth:`InferenceSession.append`: checkpointed runs go through
+    :mod:`repro.ckpt`, everything else through the one shard
+    dispatcher.  Already-parsed documents and XML literals fold in
+    the calling process (the serial backend).  ``index_offset`` is the corpus
+    position of ``items[0]``, so a session's fault plan and quarantine
+    report see corpus-global positions across appends.
     """
     paths = [item for item in items if isinstance(item, str)]
     all_paths = len(paths) == len(items)
@@ -437,46 +414,21 @@ def _streaming_evidence(
             recorder=recorder,
             fault_plan=fault_plan,
         )
-    if all_paths and config.resilient:
-        from .runtime.resilience import resilient_evidence
+    from .runtime.parallel import parallel_evidence
 
-        return resilient_evidence(
-            paths,
-            jobs=config.jobs,
-            backend=config.backend,
-            recorder=recorder,
-            plan=fault_plan,
-            policy=config.retry,
-            on_error=config.on_error,
-            max_quarantine=max_quarantine,
-            deadline=config.shard_deadline,
-            report=degradation,
-        )
-    if all_paths:
-        from .runtime.parallel import parallel_evidence
-
-        return parallel_evidence(
-            paths,
-            jobs=config.jobs,
-            backend=config.backend,
-            recorder=recorder,
-        )
-    evidence = StreamingEvidence()
-    for index, item in enumerate(items, start=index_offset):
-        document = _load_item(
-            item,
-            index,
-            config=config,
-            degradation=degradation,
-            fault_plan=fault_plan,
-            max_quarantine=max_quarantine,
-            recorder=recorder,
-        )
-        if document is None:
-            continue
-        with recorder.span("extract"):
-            evidence.add_document(document, recorder)
-    return evidence
+    return parallel_evidence(
+        items,
+        jobs=config.jobs,
+        backend=config.backend if all_paths else "serial",
+        recorder=recorder,
+        plan=fault_plan,
+        policy=config.retry,
+        on_error=config.on_error,
+        max_quarantine=max_quarantine,
+        deadline=config.shard_deadline,
+        report=degradation,
+        index_offset=index_offset,
+    )
 
 
 def infer(
@@ -486,8 +438,8 @@ def infer(
 
     This is *the* entry point: batch and streaming, serial and
     sharded, all learner choices.  Returns an
-    :class:`InferenceResult`; ``result.dtd`` is byte-identical to what
-    the corresponding legacy entry point produced.
+    :class:`InferenceResult`; ``result.dtd`` is byte-identical across
+    every pipeline shape that accepts the same config.
     """
     if config is None:
         config = InferenceConfig()
@@ -539,16 +491,18 @@ def infer(
             recorder.count("elements", len(evidence.elements))
         dtd = inferencer._finalize_streaming(evidence)
     else:
+        from .runtime.resilience import load_document
+
         documents = [
             document
             for index, item in enumerate(items)
             if (
-                document := _load_item(
+                document := load_document(
                     item,
                     index,
-                    config=config,
-                    degradation=degradation,
-                    fault_plan=fault_plan,
+                    plan=fault_plan,
+                    on_error=config.on_error,
+                    report=degradation,
                     max_quarantine=config.max_quarantine,
                     recorder=recorder,
                 )
@@ -913,9 +867,11 @@ class InferenceSession:
     def append(self, source: Source) -> AppendReceipt:
         """Fold more documents into the session state.
 
-        ``source`` accepts everything :func:`infer` accepts.  All-path
-        chunks go through the same sharded (and resilient, when
-        configured) extraction pools as a one-shot run.
+        ``source`` accepts everything :func:`infer` accepts and goes
+        through the same shard dispatcher as a one-shot run, with
+        document positions continuing from the previous appends — so
+        fault plans and quarantine reports match a one-shot run over
+        everything appended.
         """
         self._require_open()
         items = _expand_source(source)

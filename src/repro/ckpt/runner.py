@@ -1,7 +1,7 @@
 """The checkpointed extraction loop: plan, reuse, dispatch, commit.
 
-:func:`checkpointed_evidence` is a drop-in sibling of
-:func:`repro.runtime.parallel.parallel_evidence` that persists progress
+:func:`checkpointed_evidence` wraps
+:func:`repro.runtime.parallel.parallel_evidence`: it persists progress
 to a run directory and harvests previous progress from it.
 
 The plan
@@ -15,13 +15,15 @@ The plan
    unmatched, corrupt, truncated — is dropped and its documents fall
    through to fresh parsing.
 3. The positions no reused shard covers form contiguous *fresh
-   segments*.  They are sharded with the same cost model as a plain
-   parallel run and dispatched on the same warm pools.
-4. As each fresh shard's evidence lands (in corpus order), it is
-   committed durably: state bytes first (write-tmp + fsync + rename),
-   then the manifest naming them.  A kill at any instant leaves a
-   manifest whose every entry points at a complete state file.
-5. All plan entries — reused and fresh — merge in corpus position
+   segments*.  Each one runs through the one shard dispatcher,
+   :func:`~repro.runtime.parallel.parallel_evidence`, with the same
+   cost model and warm pools as a plain run.
+4. As each fresh shard's evidence lands (in corpus order), the
+   dispatcher's ``on_result`` hook commits it durably: state bytes
+   first (write-tmp + fsync + rename), then the manifest naming them.
+   A kill at any instant leaves a manifest whose every entry points at
+   a complete state file.
+5. Reused shards and fresh segments merge in corpus position
    order, which is exactly the order a serial pass would fold
    documents, so the result is byte-identical to an uninterrupted,
    uncached run (reservoir truncation included).
@@ -40,19 +42,12 @@ from collections.abc import Sequence
 from ..contracts import (
     check_checkpoint_resume,
     check_checkpoint_roundtrip,
-    check_merge_commutative,
     contracts_enabled,
 )
 from ..errors import UsageError
 from ..learning.evidence import SAMPLE_CAP, StreamingEvidence
-from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
-from ..runtime.parallel import (
-    BACKENDS,
-    Backend,
-    choose_backend,
-    run_shard_tasks,
-    shard_paths,
-)
+from ..obs.recorder import NULL_RECORDER, Recorder
+from ..runtime.parallel import Backend, Item, merge_evidence, parallel_evidence
 from ..runtime.resilience import CRASH_EXIT_STATUS, FaultPlan
 from .codec import StateDecodeError, file_sha256, read_state, write_state
 from .lock import RunLock
@@ -66,14 +61,13 @@ from .manifest import (
 
 
 @dataclass
-class _PlanEntry:
-    """One contiguous slice of the new corpus and where its state comes from."""
+class _Reused:
+    """One old shard found again in the new corpus, state pre-loaded."""
 
     start: int  # corpus position of the first document
     documents: tuple[DocumentEntry, ...]
-    evidence: StreamingEvidence | None  # pre-loaded for reused shards
-    shard_entry: ShardEntry | None  # manifest entry for reused shards
-    fresh_index: int | None  # dispatch index for fresh shards
+    evidence: StreamingEvidence
+    shard_entry: ShardEntry
 
 
 def _find_run(
@@ -97,7 +91,7 @@ def _reusable_shards(
     old: Manifest | None,
     entries: Sequence[DocumentEntry],
     recorder: Recorder,
-) -> list[_PlanEntry]:
+) -> list[_Reused]:
     """Match old shards against the new corpus, loading cached states.
 
     Greedy and forward-only: old shards committed in corpus order, so
@@ -112,7 +106,7 @@ def _reusable_shards(
         recorder.count("ckpt.corrupt", len(old.shards))
         return []
     hashes = [entry.sha256 for entry in entries]
-    reused: list[_PlanEntry] = []
+    reused: list[_Reused] = []
     position = 0
     for shard in old.shards:
         needle = [document.sha256 for document in shard.documents]
@@ -129,12 +123,11 @@ def _reusable_shards(
         recorder.count("ckpt.hit")
         recorder.count("ckpt.skip", len(shard.documents))
         reused.append(
-            _PlanEntry(
+            _Reused(
                 start=found,
                 documents=tuple(entries[found : found + len(needle)]),
                 evidence=evidence,
                 shard_entry=shard,
-                fresh_index=None,
             )
         )
         position = found + len(needle)
@@ -142,7 +135,7 @@ def _reusable_shards(
 
 
 def _fresh_segments(
-    entries: Sequence[DocumentEntry], reused: Sequence[_PlanEntry]
+    entries: Sequence[DocumentEntry], reused: Sequence[_Reused]
 ) -> list[tuple[int, list[DocumentEntry]]]:
     """The contiguous corpus runs no reused shard covers."""
     covered = [False] * len(entries)
@@ -160,28 +153,6 @@ def _fresh_segments(
             index += 1
         segments.append((start, list(entries[start:index])))
     return segments
-
-
-def _resolve_backend(
-    fresh_documents: int, jobs: int | None, backend: Backend
-) -> tuple[Backend, int]:
-    """Backend selection for the fresh part only (cached shards are free)."""
-    if backend not in BACKENDS:
-        raise UsageError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}"
-        )
-    if jobs is not None and jobs < 1:
-        raise UsageError(f"jobs must be a positive integer, got {jobs}")
-    cpus = os.cpu_count() or 1
-    if backend == "auto":
-        return choose_backend(fresh_documents, jobs, cpus)
-    if backend == "serial":
-        return "serial", 1
-    shard_count = jobs if jobs is not None else cpus
-    if shard_count <= 1 or fresh_documents <= 1:
-        return "serial", 1
-    return backend, shard_count
 
 
 def _collect_garbage(run_dir: str, manifest: Manifest, recorder: Recorder) -> None:
@@ -240,101 +211,56 @@ def checkpointed_evidence(
         ]
         reused = _reusable_shards(run_dir, old if resume else None, entries, recorder)
         segments = _fresh_segments(entries, reused)
-        fresh_total = sum(len(documents) for _start, documents in segments)
-        chosen, shard_count = _resolve_backend(fresh_total, jobs, backend)
-        if recorder.enabled:
-            recorder.count(f"parallel.backend.{chosen}")
-
-        # Shard each fresh segment proportionally to its share of the
-        # fresh work (ceil, so no segment gets zero shards).
-        plan: list[_PlanEntry] = list(reused)
-        fresh_shards: list[list[str]] = []
-        fresh_documents: list[tuple[DocumentEntry, ...]] = []
-        for start, documents in segments:
-            share = max(
-                1, (len(documents) * shard_count + fresh_total - 1) // fresh_total
-            )
-            offset = start
-            for chunk in shard_paths(
-                [document.path for document in documents], share
-            ):
-                slice_ = tuple(entries[offset : offset + len(chunk)])
-                plan.append(
-                    _PlanEntry(
-                        start=offset,
-                        documents=slice_,
-                        evidence=None,
-                        shard_entry=None,
-                        fresh_index=len(fresh_shards),
-                    )
-                )
-                fresh_shards.append(list(chunk))
-                fresh_documents.append(slice_)
-                offset += len(chunk)
-        plan.sort(key=lambda entry: entry.start)
 
         manifest = Manifest(sample_cap=SAMPLE_CAP)
-        committed: dict[int, ShardEntry] = {}
+        durable = [(entry.start, entry.shard_entry) for entry in reused]
+        parts = [(entry.start, entry.evidence) for entry in reused]
+        shard_dir = os.path.join(run_dir, SHARD_DIR)
+        pending = os.path.join(shard_dir, "pending.state")
+        position = 0  # corpus position of the next fresh shard
+        fresh_shards = 0  # fresh shards committed so far
 
         def _store_progress() -> None:
             """Rewrite the manifest from every durable entry, corpus order."""
-            durable: list[tuple[int, ShardEntry]] = []
-            for entry in plan:
-                if entry.shard_entry is not None:
-                    durable.append((entry.start, entry.shard_entry))
-                elif (
-                    entry.fresh_index is not None
-                    and entry.fresh_index in committed
-                ):
-                    durable.append((entry.start, committed[entry.fresh_index]))
-            manifest.shards = [shard for _start, shard in sorted(
-                durable, key=lambda pair: pair[0]
-            )]
+            manifest.shards = [
+                shard for _start, shard in sorted(durable, key=lambda d: d[0])
+            ]
             manifest.store(run_dir)
 
-        fresh_evidence: dict[int, StreamingEvidence] = {}
-
         def _commit(
-            index: int, evidence: StreamingEvidence, snapshot: Snapshot | None
+            _index: int, items: Sequence[Item], evidence: StreamingEvidence
         ) -> None:
+            nonlocal position, fresh_shards
             if contracts_enabled():
                 check_checkpoint_roundtrip(evidence)
-            digest = write_state(
-                os.path.join(run_dir, SHARD_DIR, "pending.state"), evidence
-            )
+            digest = write_state(pending, evidence)
             name = f"{digest[:16]}.state"
-            os.replace(
-                os.path.join(run_dir, SHARD_DIR, "pending.state"),
-                os.path.join(run_dir, SHARD_DIR, name),
-            )
+            os.replace(pending, os.path.join(shard_dir, name))
             recorder.count("ckpt.write")
-            committed[index] = ShardEntry(
-                documents=fresh_documents[index],
-                state_file=name,
-                digest=digest,
+            documents = tuple(entries[position : position + len(items)])
+            durable.append(
+                (position, ShardEntry(documents, state_file=name, digest=digest))
             )
-            fresh_evidence[index] = evidence
-            if snapshot is not None and isinstance(recorder, StatsRecorder):
-                recorder.merge_snapshot(snapshot, shard=index)
+            position += len(items)
             _store_progress()
-            if fault_plan is not None and fault_plan.kills_after(index):
+            if fault_plan is not None and fault_plan.kills_after(fresh_shards):
                 os._exit(CRASH_EXIT_STATUS)
+            fresh_shards += 1
 
-        if fresh_shards:
-            run_shard_tasks(chosen, fresh_shards, recorder, on_result=_commit)
-
-        merged = StreamingEvidence()
-        for entry in plan:
-            part = (
-                entry.evidence
-                if entry.evidence is not None
-                else fresh_evidence[entry.fresh_index]  # type: ignore[index]
+        for start, documents in segments:
+            position = start
+            evidence = parallel_evidence(
+                [document.path for document in documents],
+                jobs,
+                backend,
+                recorder,
+                index_offset=start,
+                on_result=_commit,
             )
-            if contracts_enabled():
-                check_merge_commutative(merged, part)
-            merged.merge(part)
-        if recorder.enabled:
-            recorder.count("shards", len(plan))
+            parts.append((start, evidence))
+        merged = merge_evidence(
+            part for _start, part in sorted(parts, key=lambda p: p[0])
+        )
 
         manifest.complete = True
         _store_progress()

@@ -5,8 +5,9 @@
   rules (Section 6, Theorem 2);
 * :func:`crx` — direct CHARE inference (Section 7, Theorems 3-5);
 * :func:`annotate_numeric` — numerical predicates (Section 9);
-* :class:`DTDInferencer` / :func:`infer_dtd` — the end-to-end
-  per-element pipeline over XML corpora.
+* :class:`DTDInferencer` — the per-element engine behind
+  :func:`repro.api.infer`, the one public entry point for whole-corpus
+  inference.
 """
 
 from .crx import ClassSummary, CrxState, crx, quantifier_for
@@ -15,7 +16,6 @@ from .inference import (
     DTDInferencer,
     InferenceReport,
     apply_support_threshold,
-    infer_dtd,
 )
 from .numeric import annotate_numeric
 from .repair import Repair, find_repair
@@ -50,7 +50,6 @@ __all__ = [
     "find_repair",
     "idtd",
     "idtd_from_soa",
-    "infer_dtd",
     "quantifier_for",
     "rewrite",
     "rewrite_gfa",

@@ -26,24 +26,25 @@ corpus and mapped to the corresponding DTD content specifications;
 attribute lists are generated from attribute usage.  Numerical
 predicates (Section 9) can be switched on to tighten ``+``/``*``.
 
-The preferred entry point is :func:`repro.api.infer`; the historical
-entry points on this class (``infer``, ``infer_from_evidence``,
-``infer_from_streaming``) and the module-level :func:`infer_dtd`
-survive as deprecated shims over the same engine.
+The public entry point is :func:`repro.api.infer`; this module is the
+engine behind it (:meth:`DTDInferencer._finalize_batch` over
+:class:`~repro.learning.evidence.CorpusEvidence`,
+:meth:`DTDInferencer._finalize_streaming` over
+:class:`~repro.learning.evidence.StreamingEvidence`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Sequence
-from typing import TYPE_CHECKING, Any, Literal
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING, Literal
 
 from ..contracts import (
     check_cached_content_model,
     check_content_model,
     contracts_enabled,
 )
-from ..errors import CorpusError, UsageError, legacy_entry_point
+from ..errors import CorpusError, UsageError
 from ..learning.kore import IncrementalKore
 from ..learning.sire import IncrementalSire
 from ..learning.tinf import tinf
@@ -57,12 +58,10 @@ from ..learning.evidence import (
     StreamingElementEvidence,
     StreamingEvidence,
     WordBag,
-    extract_evidence,
 )
 from ..xmlio.datatypes import sniff_type
 from ..xmlio.dtd import Any as AnyContent
 from ..xmlio.dtd import AttributeDef, Children, Dtd, Empty, Mixed
-from ..xmlio.tree import Document
 from .crx import CrxState
 from .idtd import idtd_from_soa
 from .numeric import annotate_numeric
@@ -95,10 +94,6 @@ def validate_method(method: str) -> None:
         raise UsageError(
             f"unknown method {method!r}: expected one of {supported}"
         )
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    legacy_entry_point(old, new, stacklevel=4)
 
 
 @dataclass
@@ -305,8 +300,8 @@ class DTDInferencer:
         *before* ``learn`` runs so a warm content-model cache can never
         mask an injected failure.
         """
-        # Lazy: core.inference must not import repro.runtime at module
-        # level (runtime.parallel imports this module right back).
+        # Lazy: repro.runtime sits above repro.core in the layer table
+        # (lint rule R010), so core may only reach up at call time.
         from ..runtime.resilience import (
             FALLBACK_ORDER,
             ElementFallback,
@@ -509,40 +504,6 @@ class DTDInferencer:
                 dtd.attributes[name] = self._attlist(element_evidence)
         return dtd
 
-    def _infer_documents(self, documents: Iterable[Document]) -> Dtd:
-        return self._finalize_batch(
-            extract_evidence(documents, recorder=self.recorder)
-        )
-
-    # -- deprecated public API -------------------------------------------------
-
-    def infer_from_evidence(self, evidence: CorpusEvidence) -> Dtd:
-        """Deprecated: use :func:`repro.api.infer`."""
-        _warn_deprecated(
-            "DTDInferencer.infer_from_evidence", "repro.api.infer"
-        )
-        return self._finalize_batch(evidence)
-
-    def infer_from_streaming(self, evidence: StreamingEvidence) -> Dtd:
-        """Deprecated: use :func:`repro.api.infer` with
-        ``InferenceConfig(streaming=True)``.
-
-        Produces exactly the DTD the batch path produces on the same
-        corpus: the learner states fold the same sample and both
-        learners are order- and sharding-insensitive.  Numerical
-        predicates are the one exception — they need the full sample,
-        which streaming evidence deliberately does not retain.
-        """
-        _warn_deprecated(
-            "DTDInferencer.infer_from_streaming", "repro.api.infer"
-        )
-        return self._finalize_streaming(evidence)
-
-    def infer(self, documents: Iterable[Document]) -> Dtd:
-        """Deprecated: use :func:`repro.api.infer`."""
-        _warn_deprecated("DTDInferencer.infer", "repro.api.infer")
-        return self._infer_documents(documents)
-
 
 def apply_support_threshold(
     evidence: CorpusEvidence,
@@ -575,12 +536,3 @@ def apply_support_threshold(
     for name in noisy:
         evidence.elements.pop(name, None)
 
-
-def infer_dtd(
-    documents: Iterable[Document],
-    method: Method = "auto",
-    **kwargs: Any,
-) -> Dtd:
-    """Deprecated one-shot convenience: use :func:`repro.api.infer`."""
-    _warn_deprecated("infer_dtd", "repro.api.infer")
-    return DTDInferencer(method=method, **kwargs)._infer_documents(documents)

@@ -10,8 +10,7 @@ Evidence extraction lives in :mod:`repro.learning` (not
 :mod:`repro.xmlio`) because folding a document *is* learning: the
 streaming representation feeds every child sequence straight into the
 incremental learner states, so this module sits in the layer that owns
-those states.  ``repro.xmlio.extract`` remains as a lazy
-backwards-compatible alias.
+those states.
 
 Two evidence representations are provided:
 

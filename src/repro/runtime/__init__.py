@@ -1,9 +1,10 @@
 """Execution backends: sharded, data-parallel corpus processing.
 
-* :func:`parallel_evidence` — map-reduce evidence extraction: shard the
-  corpus, extract+learn per shard in worker processes, merge the (tiny)
-  learner states (and per-shard stats snapshots when a recorder is
-  live).
+* :func:`parallel_evidence` — the one shard dispatcher behind every
+  streaming run: shard the corpus, extract+learn per shard in worker
+  processes, merge the (tiny) learner states (and per-shard stats
+  snapshots when a recorder is live), retrying, falling back and
+  quarantining under the fault-tolerance policy.
 * :func:`choose_backend` — the adaptive cost model behind
   ``backend="auto"``: serial/thread/process from corpus size and the
   CPU count, shards clamped to the CPUs.
@@ -12,13 +13,11 @@
   down at exit (:func:`shutdown_warm_pools`).
 * :class:`ContentModelCache` — the fingerprint-keyed LRU memoizing the
   per-element finalize step (see :mod:`repro.runtime.cache`).
-* :func:`resilient_evidence` / :class:`FaultPlan` /
-  :class:`RetryPolicy` / :class:`DegradationReport` — the
-  fault-tolerance layer: per-shard deadlines and retries, worker-crash
+* :class:`FaultPlan` / :class:`RetryPolicy` /
+  :class:`DegradationReport` — the fault-tolerance policy the
+  dispatcher applies: per-shard deadlines and retries, worker-crash
   recovery, document quarantine, deterministic fault injection (see
   :mod:`repro.runtime.resilience`).
-* :func:`infer_parallel` — deprecated; use
-  ``repro.api.infer(paths, config=InferenceConfig(jobs=N))``.
 """
 
 from .cache import (
@@ -34,7 +33,6 @@ from .parallel import (
     WorkerPool,
     choose_backend,
     extract_from_paths,
-    infer_parallel,
     merge_evidence,
     parallel_evidence,
     shard_paths,
@@ -49,7 +47,6 @@ from .resilience import (
     QuarantinedDocument,
     RetryPolicy,
     ShardRetry,
-    resilient_evidence,
 )
 
 __all__ = [
@@ -69,11 +66,9 @@ __all__ = [
     "choose_backend",
     "extract_from_paths",
     "global_content_model_cache",
-    "infer_parallel",
     "merge_evidence",
     "parallel_evidence",
     "reset_global_content_model_cache",
-    "resilient_evidence",
     "shard_paths",
     "shutdown_warm_pools",
     "warm_pool",

@@ -1,12 +1,12 @@
-"""Map-reduce DTD inference over corpus shards (Section 9, scaled out).
+"""The one shard dispatcher: map-reduce DTD inference (Section 9, scaled out).
 
 Both learners keep internal state that is tiny compared to the corpus
 (the SOA triple for iDTD; the arrow relation plus occurrence profiles
 for CRX) and that state merges associatively.  That makes inference
 embarrassingly data-parallel:
 
-* **map** — each worker parses its shard of document *paths* and folds
-  them into a :class:`~repro.learning.evidence.StreamingEvidence` (constant
+* **map** — each worker loads its shard of corpus items and folds them
+  into a :class:`~repro.learning.evidence.StreamingEvidence` (constant
   memory in shard size; only file paths cross the process boundary on
   the way in, only learner states on the way out);
 * **reduce** — shard states merge in shard order, which reproduces the
@@ -17,6 +17,20 @@ embarrassingly data-parallel:
 
 The result is byte-identical to batch inference on the same corpus —
 property-tested in ``tests/runtime/test_parallel.py``.
+
+:func:`parallel_evidence` is the only dispatcher.  Every streaming
+shape of :func:`repro.api.infer` reaches the learners through it:
+plain and fault-tolerant runs, session appends and the fresh segments
+of a checkpointed run (:mod:`repro.ckpt`, through ``on_result``).  A
+run without resilience is a run with an empty
+:class:`~repro.runtime.resilience.FaultPlan` in ``on_error="strict"``
+mode; the same gather loop retries failed shards under the
+:class:`~repro.runtime.resilience.RetryPolicy`, honours the shard
+deadline, falls back to per-document processing in the calling
+process when a shard keeps failing, and quarantines unreadable
+documents in ``on_error="skip"`` mode.  One load-and-fold loop
+(:func:`extract_from_paths`) serves pool workers, the serial backend,
+the in-process fallback and already-parsed documents alike.
 
 Instrumentation rides the same rails as the evidence: each worker runs
 a private :class:`~repro.obs.recorder.StatsRecorder`, ships its plain
@@ -39,25 +53,38 @@ repeated inferences stop paying pool startup.
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import threading
-import warnings
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from concurrent.futures import TimeoutError as FuturesTimeout
+from dataclasses import dataclass, replace
+from time import sleep
 from typing import TypeVar
 from collections.abc import Callable, Iterable, Sequence
 
 from ..contracts import check_merge_commutative, contracts_enabled
-from ..core.inference import DTDInferencer, Method
-from ..errors import InternalError, UsageError, legacy_entry_point
-from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
-from ..xmlio.dtd import Dtd
+from ..errors import InternalError, ReproError, ShardTimeout, UsageError
 from ..learning.evidence import StreamingEvidence
-from ..xmlio.parser import parse_file
+from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
+from ..xmlio.tree import Document
+from .resilience import (
+    CRASH_EXIT_STATUS,
+    DEFAULT_RETRY_POLICY,
+    DegradationReport,
+    FaultPlan,
+    InjectedShardTimeout,
+    InjectedWorkerCrash,
+    QuarantinedDocument,
+    RetryPolicy,
+    ShardRetry,
+    load_document,
+)
 
 Backend = str  # "auto" | "process" | "thread" | "serial"
 
@@ -201,7 +228,18 @@ def shutdown_warm_pools() -> None:
 atexit.register(shutdown_warm_pools)
 
 
-def shard_paths(paths: Sequence[str], shards: int) -> list[list[str]]:
+_ItemT = TypeVar("_ItemT")
+
+#: One corpus item as the dispatcher sees it: a file path, or (serial
+#: backend only) an already-parsed document.
+Item = Document | str
+
+#: Called once per shard, in shard order, as its evidence lands:
+#: ``(shard index, the shard's items, the shard's evidence)``.
+ShardHook = Callable[[int, Sequence[Item], StreamingEvidence], None]
+
+
+def shard_paths(paths: Sequence[_ItemT], shards: int) -> list[list[_ItemT]]:
     """Split ``paths`` into at most ``shards`` contiguous chunks.
 
     Chunks are contiguous (not round-robin) and returned in corpus
@@ -214,7 +252,7 @@ def shard_paths(paths: Sequence[str], shards: int) -> list[list[str]]:
         return []
     shards = max(1, min(shards, len(paths)))
     base, extra = divmod(len(paths), shards)
-    chunks: list[list[str]] = []
+    chunks: list[list[_ItemT]] = []
     start = 0
     for index in range(shards):
         size = base + (1 if index < extra else 0)
@@ -223,190 +261,16 @@ def shard_paths(paths: Sequence[str], shards: int) -> list[list[str]]:
     return chunks
 
 
-def extract_from_paths(
-    paths: Iterable[str], recorder: Recorder = NULL_RECORDER
-) -> StreamingEvidence:
-    """The map step: parse each file and fold it into streaming state.
+def resolve_backend(
+    documents: int, jobs: int | None, backend: Backend
+) -> tuple[Backend, int]:
+    """Validate ``jobs``/``backend`` and pick ``(backend, shards)``.
 
-    Documents are parsed one at a time and released immediately; the
-    worker's footprint is one document plus the learner states.
+    ``backend="auto"`` runs the :func:`choose_backend` cost model.  An
+    explicit backend skips it: ``jobs=None`` then means the CPU count,
+    and a single job or a single document still degrades to serial.
+    ``jobs`` must be positive when given.
     """
-    evidence = StreamingEvidence()
-    for path in paths:
-        document = parse_file(path, recorder)
-        with recorder.span("extract", file=str(path)):
-            evidence.add_document(document, recorder)
-    return evidence
-
-
-def _extract_shard_recorded(
-    task: tuple[int, Sequence[str]],
-) -> tuple[StreamingEvidence, Snapshot]:
-    """Worker body for instrumented runs: evidence plus a stats snapshot.
-
-    Module-level (not a closure) so it pickles into process pools.  The
-    recorder is created inside the worker and only its plain-dict
-    snapshot travels back across the process boundary.
-    """
-    index, paths = task
-    recorder = StatsRecorder()
-    with recorder.span("shard", index=index, files=len(paths)):
-        evidence = extract_from_paths(paths, recorder)
-    return evidence, recorder.snapshot()
-
-
-_TaskT = TypeVar("_TaskT")
-_ResultT = TypeVar("_ResultT")
-
-
-def _pooled_results(
-    pool: WorkerPool,
-    worker: Callable[[_TaskT], _ResultT],
-    work: Sequence[_TaskT],
-    on_result: Callable[[int, _ResultT], None] | None = None,
-) -> list[_ResultT]:
-    """Run ``work`` on the warm pool, surviving one worker death per task.
-
-    The ``executor.map`` this replaces surfaced a dead process-pool
-    worker as ``BrokenProcessPool`` for the *entire* batch.  Here each
-    task's future is gathered individually: a broken pool is healed
-    (:meth:`WorkerPool.executor` rebuilds it) and the task resubmitted
-    once.  A second break on the same task means the failure travels
-    *with the task* — a worker-killing bug, not a transient — and
-    surfaces as :class:`~repro.errors.InternalError` naming the shard.
-    Results come back in submission order, like ``map``.
-
-    Richer policies (bounded retries with backoff, per-shard deadlines,
-    reshard-to-serial, fault injection) live in
-    :func:`repro.runtime.resilience.resilient_evidence`, which callers
-    opt into via ``on_error=`` / fault plans.
-
-    ``on_result`` (when given) fires in the gathering thread, in
-    submission order, as each result becomes available — the hook
-    :mod:`repro.ckpt` uses to commit a durable checkpoint per shard
-    before later shards are even gathered.
-    """
-    futures = [pool.executor().submit(worker, task) for task in work]
-    results: list[_ResultT] = []
-    for index, task in enumerate(work):
-        try:
-            result = futures[index].result()
-        except BrokenExecutor:
-            try:
-                result = pool.executor().submit(worker, task).result()
-            except BrokenExecutor:
-                raise InternalError(
-                    f"worker pool broke twice while processing shard "
-                    f"{index}: the failure reproduces on resubmission, so "
-                    "a worker-killing bug travels with this shard's input"
-                ) from None
-        if on_result is not None:
-            on_result(index, result)
-        results.append(result)
-    return results
-
-
-def run_shard_tasks(
-    chosen: Backend,
-    shards: Sequence[Sequence[str]],
-    recorder: Recorder = NULL_RECORDER,
-    on_result: Callable[[int, StreamingEvidence, Snapshot | None], None]
-    | None = None,
-) -> list[tuple[StreamingEvidence, Snapshot | None]]:
-    """Extract every shard on an already-resolved backend.
-
-    The lower half of :func:`parallel_evidence`, exposed for callers —
-    :func:`repro.ckpt.runner.checkpointed_evidence` — that plan their
-    own shard lists but want the same dispatch machinery: serial runs
-    inline, ``thread``/``process`` use the warm pools with single-retry
-    healing.  Results return in shard (corpus) order; ``on_result``
-    fires once per shard *in that order* as results land, so a caller
-    can durably commit shard ``i`` before shard ``i+1`` is gathered.
-
-    With a live ``recorder`` each shard runs under its own
-    :class:`StatsRecorder` and its snapshot is returned (not merged —
-    the caller owns merge order); otherwise the snapshot slot is None.
-    """
-    if chosen == "serial":
-        results: list[tuple[StreamingEvidence, Snapshot | None]] = []
-        for index, shard in enumerate(shards):
-            if recorder.enabled:
-                evidence, snapshot = _extract_shard_recorded((index, shard))
-            else:
-                evidence, snapshot = extract_from_paths(shard), None
-            if on_result is not None:
-                on_result(index, evidence, snapshot)
-            results.append((evidence, snapshot))
-        return results
-    pool = warm_pool(chosen)
-    if recorder.enabled:
-
-        def recorded_hook(
-            index: int, result: tuple[StreamingEvidence, Snapshot]
-        ) -> None:
-            if on_result is not None:
-                on_result(index, result[0], result[1])
-
-        recorded = _pooled_results(
-            pool,
-            _extract_shard_recorded,
-            list(enumerate(shards)),
-            on_result=recorded_hook,
-        )
-        return [(evidence, snapshot) for evidence, snapshot in recorded]
-
-    def plain_hook(index: int, evidence: StreamingEvidence) -> None:
-        if on_result is not None:
-            on_result(index, evidence, None)
-
-    plain = _pooled_results(
-        pool,
-        extract_from_paths,
-        [list(shard) for shard in shards],
-        on_result=plain_hook,
-    )
-    return [(evidence, None) for evidence in plain]
-
-
-def merge_evidence(parts: Iterable[StreamingEvidence]) -> StreamingEvidence:
-    """The reduce step: fold shard evidence together, left to right."""
-    merged = StreamingEvidence()
-    for part in parts:
-        if contracts_enabled():
-            check_merge_commutative(merged, part)
-        merged.merge(part)
-    return merged
-
-
-def parallel_evidence(
-    paths: Sequence[str],
-    jobs: int | None = None,
-    backend: Backend = "auto",
-    executor: Executor | None = None,
-    recorder: Recorder = NULL_RECORDER,
-) -> StreamingEvidence:
-    """Extract streaming evidence from ``paths`` using ``jobs`` workers.
-
-    ``backend="auto"`` (the default) runs the :func:`choose_backend`
-    cost model: shard count clamped to the CPUs and to ``jobs``, serial
-    below the :data:`MIN_DOCS_PER_SHARD` work floor, threads for small
-    corpora and the warm process pool for large ones.  An explicit
-    ``backend`` skips the cost model (``jobs=None`` then means the CPU
-    count, and a single job or single file still degrades to serial).
-
-    Precedence: a caller-supplied ``executor`` always wins.  Combining
-    one with an explicit (non-``"auto"``) ``backend`` is contradictory
-    and raises a :class:`RuntimeWarning`; the executor is used.
-
-    ``jobs`` must be positive when given; ``jobs=0`` or negative raises
-    :class:`~repro.errors.UsageError` instead of silently degrading.
-
-    With a live ``recorder``, the chosen backend is counted under
-    ``parallel.backend.<name>``, each worker records into its own
-    :class:`StatsRecorder`, and the per-shard snapshots merge into
-    ``recorder`` in shard order, tagged with their shard index.
-    """
-    paths = list(paths)
     if backend not in BACKENDS:
         raise UsageError(
             f"unknown backend {backend!r}; expected one of "
@@ -414,89 +278,332 @@ def parallel_evidence(
         )
     if jobs is not None and jobs < 1:
         raise UsageError(f"jobs must be a positive integer, got {jobs}")
-    if executor is not None and backend != "auto":
-        warnings.warn(
-            f"caller-supplied executor takes precedence over "
-            f"backend={backend!r}; pass backend='auto' (the default) "
-            "when reusing an external pool",
-            RuntimeWarning,
-            stacklevel=2,
+    if backend == "auto":
+        return choose_backend(documents, jobs)
+    if backend == "serial":
+        return "serial", 1
+    shards = jobs if jobs is not None else os.cpu_count() or 1
+    if shards <= 1 or documents <= 1:
+        return "serial", 1
+    return backend, shards
+
+
+def extract_from_paths(
+    items: Iterable[Item],
+    recorder: Recorder = NULL_RECORDER,
+    *,
+    offset: int = 0,
+    plan: FaultPlan | None = None,
+    on_error: str = "strict",
+    report: DegradationReport | None = None,
+) -> StreamingEvidence:
+    """The load-and-fold loop: load each item, fold it into streaming state.
+
+    Every streaming route into the learners runs this loop — pool
+    workers, the serial backend, the in-process fallback for failing
+    shards and already-parsed documents.  Items load one at a time under the
+    error policy (:func:`~repro.runtime.resilience.load_document`,
+    which sees corpus position ``offset + i``) and are released right
+    after folding; the footprint is one document plus the learner
+    states.  Quarantined documents land in ``report``.
+    """
+    evidence = StreamingEvidence()
+    for index, item in enumerate(items, start=offset):
+        document = load_document(
+            item,
+            index,
+            plan=plan,
+            on_error=on_error,
+            report=report,
+            recorder=recorder,
         )
-    cpus = os.cpu_count() or 1
-    if executor is not None:
-        chosen = "external"
-        shard_count = jobs if jobs is not None else cpus
-    elif backend == "auto":
-        chosen, shard_count = choose_backend(len(paths), jobs, cpus)
-    elif backend == "serial":
-        chosen, shard_count = "serial", 1
-    else:
-        chosen = backend
-        shard_count = jobs if jobs is not None else cpus
-        if shard_count <= 1 or len(paths) <= 1:
-            chosen, shard_count = "serial", 1
+        if document is None:
+            continue
+        label = item if isinstance(item, str) else f"<document #{index}>"
+        with recorder.span("extract", file=label):
+            evidence.add_document(document, recorder)
+    return evidence
+
+
+@dataclass(frozen=True)
+class _ShardJob:
+    """One attempt at one shard; picklable for process pools."""
+
+    index: int
+    items: tuple[Item, ...]
+    offset: int
+    attempt: int
+    plan: FaultPlan
+    on_error: str
+    backend: Backend
+    recorded: bool
+
+
+_ShardResult = tuple[StreamingEvidence, "Snapshot | None", list[QuarantinedDocument]]
+
+#: The plan of a run without fault injection.
+_NO_FAULTS = FaultPlan()
+
+
+def _fold_shard(job: _ShardJob, recorder: Recorder) -> _ShardResult:
+    """Fold one shard's items into evidence, collecting its quarantines.
+
+    Quarantines are counted where they happen (a worker's counters
+    merge into the caller's once); the cap is enforced by the caller.
+    """
+    sink = DegradationReport()
+    evidence = extract_from_paths(
+        job.items,
+        recorder,
+        offset=job.offset,
+        plan=job.plan,
+        on_error=job.on_error,
+        report=sink,
+    )
+    return evidence, None, sink.quarantined
+
+
+def _extract_shard(
+    job: _ShardJob, recorder: Recorder | None = None
+) -> _ShardResult:
+    """Worker body: one attempt at one shard under the fault plan.
+
+    Module-level (not a closure) so it pickles into process pools.  A
+    pool worker records into a private :class:`StatsRecorder` whose
+    snapshot travels back; the serial backend passes the caller's
+    ``recorder`` and returns no snapshot.  Injected crashes take the
+    real exit (``os._exit``) in process-pool workers so the pool
+    genuinely breaks; other backends raise :class:`InjectedWorkerCrash`
+    so the gather loop takes the same retry path.
+    """
+    if job.plan.crashes(job.index, job.attempt):
+        if job.backend == "process":
+            os._exit(CRASH_EXIT_STATUS)
+        raise InjectedWorkerCrash(
+            f"injected fault: worker crash in shard {job.index}"
+        )
+    if job.plan.times_out(job.index, job.attempt):
+        raise InjectedShardTimeout(
+            f"injected fault: deadline breach in shard {job.index}"
+        )
+    if recorder is not None:
+        return _fold_shard(job, recorder)
+    private: Recorder = StatsRecorder() if job.recorded else NULL_RECORDER
+    with private.span("shard", index=job.index, files=len(job.items)):
+        evidence, _, quarantined = _fold_shard(job, private)
+    snapshot = private.snapshot() if isinstance(private, StatsRecorder) else None
+    return evidence, snapshot, quarantined
+
+
+def _pooled_results(
+    pool: WorkerPool | None,
+    shard_jobs: Sequence[_ShardJob],
+    *,
+    policy: RetryPolicy,
+    deadline: float | None,
+    recorder: Recorder,
+    report: DegradationReport,
+    on_result: ShardHook | None = None,
+) -> list[_ShardResult]:
+    """Run every shard and gather the results in shard order.
+
+    ``pool=None`` runs each shard in the calling process as it is
+    gathered (the serial backend); otherwise every shard is submitted
+    to the warm pool up front.  A shard whose attempt fails — an
+    injected or real worker death (a broken pool heals on
+    resubmission), a breached ``deadline`` — is retried under
+    ``policy`` with deterministic backoff.  Once the attempts run out
+    the shard is processed document by document in the calling
+    process, except that a shard that keeps timing out in strict mode
+    raises :class:`ShardTimeout`.  Data and
+    engine errors (:class:`~repro.errors.ReproError`) are not
+    transient and propagate.  Retries land in ``report``.
+
+    Results are consumed strictly in shard order, so retries only
+    change *when* a shard's evidence materializes, never its value.
+    ``on_result`` fires in that order as each shard lands — the hook
+    :mod:`repro.ckpt` uses to commit a durable checkpoint per shard
+    before later shards are even gathered.
+    """
+
+    def submit(job: _ShardJob) -> Callable[[], _ShardResult]:
+        if pool is None:
+            return functools.partial(_extract_shard, job, recorder)
+        future = pool.executor().submit(_extract_shard, job)
+        return functools.partial(future.result, deadline)
+
+    pending = [submit(job) for job in shard_jobs]
+    results: list[_ShardResult] = []
+    for index, job in enumerate(shard_jobs):
+        gather = pending[index]
+        failures: list[str] = []
+        resharded = False
+        while True:
+            try:
+                result = gather()
+                break
+            except InjectedWorkerCrash:
+                reason = "worker-crash"
+            except InjectedShardTimeout:
+                reason = "timeout"
+            except ReproError:
+                raise
+            except BrokenExecutor:
+                # A crash injected into *another* shard makes this one a
+                # collateral victim: resubmit it without charging it an
+                # attempt, so its own fault schedule is undisturbed.
+                if job.plan.worker_crashes and not job.plan.crashes(
+                    index, job.attempt
+                ):
+                    recorder.count("resilience.collateral_resubmits")
+                    gather = submit(job)
+                    continue
+                reason = "worker-crash"
+            except FuturesTimeout:
+                # The hung task cannot be cancelled (and shutting the
+                # pool down would block on it): deadline enforcement is
+                # best-effort — the retry queues behind the hung worker
+                # and the in-process fallback guarantees progress.
+                reason = "timeout"
+            failures.append(reason)
+            recorder.count(f"resilience.failures.{reason}")
+            if len(failures) < policy.max_attempts:
+                delay = policy.delay(index, len(failures))
+                if delay > 0:
+                    sleep(delay)
+                job = replace(job, attempt=len(failures))
+                gather = submit(job)
+                continue
+            if job.on_error != "skip" and failures[0] == "timeout":
+                report.add_retry(
+                    ShardRetry(index, len(failures) + 1, "timeout"), recorder
+                )
+                error = ShardTimeout(
+                    f"shard {index} exceeded its deadline after "
+                    f"{len(failures)} attempts (deadline={deadline}); rerun "
+                    "with on_error='skip' to degrade instead"
+                )
+                # The run aborts, but the report already holds what was
+                # degraded up to this point — travel with the error so
+                # the CLI/daemon can surface the partial picture.
+                error.degradation = report
+                raise error
+            # Worker-level faults model the worker, so they do not apply
+            # in the calling process; document faults and parse failures do.
+            recorder.count("resilience.resharded_serial")
+            result = _fold_shard(job, recorder)
+            resharded = True
+            break
+        if failures:
+            report.add_retry(
+                ShardRetry(index, len(failures) + 1, failures[0], resharded),
+                recorder,
+            )
+        if on_result is not None:
+            on_result(index, job.items, result[0])
+        results.append(result)
+    return results
+
+
+def merge_evidence(parts: Iterable[StreamingEvidence]) -> StreamingEvidence:
+    """The reduce step: fold shard evidence together, left to right.
+
+    The first part is the accumulator — merging it into an empty state
+    would only copy it, which a one-shard run (every session append)
+    would pay on each call — so the parts belong to the merge.
+    """
+    merged: StreamingEvidence | None = None
+    for part in parts:
+        if merged is None:
+            merged = part
+            continue
+        if contracts_enabled():
+            check_merge_commutative(merged, part)
+        merged.merge(part)
+    return merged if merged is not None else StreamingEvidence()
+
+
+def parallel_evidence(
+    items: Sequence[Item],
+    jobs: int | None = None,
+    backend: Backend = "auto",
+    recorder: Recorder = NULL_RECORDER,
+    *,
+    plan: FaultPlan | None = None,
+    policy: RetryPolicy | None = None,
+    on_error: str = "strict",
+    max_quarantine: int | None = None,
+    deadline: float | None = None,
+    report: DegradationReport | None = None,
+    index_offset: int = 0,
+    on_result: ShardHook | None = None,
+) -> StreamingEvidence:
+    """Extract streaming evidence from ``items`` using ``jobs`` workers.
+
+    Backend and shard count come from :func:`resolve_backend`.  Items
+    are file paths; already-parsed documents can only run on the
+    serial backend (they are folded in the calling process).
+
+    The fault-tolerance knobs default to a plain run: ``plan`` injects
+    faults (:class:`~repro.runtime.resilience.FaultPlan`), ``policy``
+    bounds retries, ``deadline`` bounds each shard's wait,
+    ``on_error="skip"`` quarantines unreadable documents into
+    ``report`` (at most ``max_quarantine`` of them), and ``report``
+    also receives every shard retry.  ``index_offset`` is the corpus
+    position of ``items[0]``, so document faults and quarantine
+    messages use corpus-global positions across calls (a session's
+    appends, a checkpointed run's fresh segments).  ``on_result``
+    fires once per shard in shard order (see :func:`_pooled_results`).
+
+    With a live ``recorder``, the chosen backend is counted under
+    ``parallel.backend.<name>``, each pool worker records into its own
+    :class:`StatsRecorder`, and the per-shard snapshots merge into
+    ``recorder`` in shard order, tagged with their shard index.
+    """
+    items = list(items)
+    chosen, shard_count = resolve_backend(len(items), jobs, backend)
+    if on_error not in ("strict", "skip"):
+        raise UsageError(
+            f"unknown on_error mode {on_error!r}: expected 'strict' or 'skip'"
+        )
     if recorder.enabled:
         recorder.count(f"parallel.backend.{chosen}")
-    if chosen == "serial":
-        return extract_from_paths(paths, recorder)
-    shards = shard_paths(paths, shard_count)
-
-    def _reduce(results: Iterable[object]) -> StreamingEvidence:
-        if not recorder.enabled:
-            return merge_evidence(results)
-        merged = StreamingEvidence()
-        for index, (evidence, snapshot) in enumerate(results):
-            if contracts_enabled():
-                check_merge_commutative(merged, evidence)
-            merged.merge(evidence)
-            recorder.merge_snapshot(snapshot, shard=index)
-            recorder.count("shards")
-        return merged
-
-    # Both dispatch routes preserve input order, so the reduce sees
-    # shards in corpus order regardless of completion order.  The warm
-    # pools additionally recover from a dead worker (resubmit once,
-    # see _pooled_results); a caller-supplied executor is the caller's
-    # to heal, so it keeps plain map semantics.
-    if executor is not None:
-        if recorder.enabled:
-            return _reduce(
-                executor.map(_extract_shard_recorded, list(enumerate(shards)))
-            )
-        return _reduce(executor.map(extract_from_paths, shards))
-    pool = warm_pool(chosen)
-    if recorder.enabled:
-        return _reduce(
-            _pooled_results(
-                pool, _extract_shard_recorded, list(enumerate(shards))
+    plan = plan if plan is not None else _NO_FAULTS
+    report = report if report is not None else DegradationReport()
+    shard_jobs: list[_ShardJob] = []
+    offset = index_offset
+    for index, shard in enumerate(shard_paths(items, shard_count)):
+        shard_jobs.append(
+            _ShardJob(
+                index=index,
+                items=tuple(shard),
+                offset=offset,
+                attempt=0,
+                plan=plan,
+                on_error=on_error,
+                backend=chosen,
+                recorded=recorder.enabled,
             )
         )
-    return _reduce(_pooled_results(pool, extract_from_paths, shards))
-
-
-def infer_parallel(
-    paths: Sequence[str],
-    jobs: int | None = None,
-    method: Method = "auto",
-    backend: Backend = "auto",
-    executor: Executor | None = None,
-    inferencer: DTDInferencer | None = None,
-) -> Dtd:
-    """Deprecated: use :func:`repro.api.infer` with
-    ``InferenceConfig(streaming=True, jobs=N)``.
-
-    Produces the same DTD as batch inference over the parsed corpus,
-    with peak memory bounded by learner-state size and wall-clock
-    divided across ``jobs`` workers.
-    """
-    legacy_entry_point("infer_parallel", "repro.api.infer", stacklevel=3)
-    if inferencer is None:
-        inferencer = DTDInferencer(method=method)
-    evidence = parallel_evidence(
-        paths,
-        jobs=jobs,
-        backend=backend,
-        executor=executor,
-        recorder=inferencer.recorder,
+        offset += len(shard)
+    results = _pooled_results(
+        None if chosen == "serial" else warm_pool(chosen),
+        shard_jobs,
+        policy=policy if policy is not None else DEFAULT_RETRY_POLICY,
+        deadline=deadline,
+        recorder=recorder,
+        report=report,
+        on_result=on_result,
     )
-    return inferencer._finalize_streaming(evidence)
+    merged = merge_evidence(evidence for evidence, _, _ in results)
+    for index, (_, snapshot, quarantined) in enumerate(results):
+        if snapshot is not None and isinstance(recorder, StatsRecorder):
+            recorder.merge_snapshot(snapshot, shard=index)
+            recorder.count("shards")
+        for document in quarantined:
+            # The cap is enforced here — once, corpus-wide, in shard
+            # order; the loaders already counted each quarantine.
+            report.add_quarantine(
+                replace(document, shard=index), limit=max_quarantine
+            )
+    return merged

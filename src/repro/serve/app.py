@@ -56,6 +56,20 @@ CONFIG_KEYS = frozenset(
 )
 
 
+#: The top-level body keys each POST route reads.  Anything else is a
+#: 400: a typo (``"fromat"``) or a config field outside ``config``
+#: (``"method"``) must not silently fall back to a default.
+BODY_KEYS: dict[str, frozenset[str]] = {
+    "/infer": frozenset({"documents", "paths", "config", "format", "stats"}),
+    "/validate": frozenset(
+        {"documents", "paths", "dtd", "max_violations", "stats"}
+    ),
+    "/diff": frozenset({"old", "new", "include_equal"}),
+    "/sessions": frozenset({"config", "stats"}),
+    "/sessions/{id}/append": frozenset({"documents", "paths"}),
+}
+
+
 class NotFoundError(UsageError):
     """The request names a route or resource that does not exist (→ 404)."""
 
@@ -163,7 +177,8 @@ class SessionStore:
             return len(self._sessions)
 
 
-def _parse_body(body: bytes) -> dict[str, Any]:
+def _parse_body(body: bytes, route: str) -> dict[str, Any]:
+    """The JSON object a request carries, holding only ``route``'s keys."""
     if not body:
         return {}
     try:
@@ -173,6 +188,18 @@ def _parse_body(body: bytes) -> dict[str, Any]:
     if not isinstance(parsed, dict):
         raise UsageError(
             f"request body must be a JSON object, got {type(parsed).__name__}"
+        )
+    known = BODY_KEYS[route]
+    unknown = sorted(set(parsed) - known)
+    if unknown:
+        hint = (
+            "; inference options go under 'config'"
+            if CONFIG_KEYS.intersection(unknown) and "config" in known
+            else ""
+        )
+        raise UsageError(
+            f"unknown keys for {route}: {', '.join(unknown)} "
+            f"(expected a subset of {', '.join(sorted(known))}){hint}"
         )
     return parsed
 
@@ -328,15 +355,15 @@ class ReproApp:
         if path == "/stats" and method == "GET":
             return self._stats()
         if path == "/infer" and method == "POST":
-            return self._infer(_parse_body(body), deadline)
+            return self._infer(_parse_body(body, path), deadline)
         if path == "/validate" and method == "POST":
-            return self._validate(_parse_body(body))
+            return self._validate(_parse_body(body, path))
         if path == "/diff" and method == "POST":
-            return self._diff(_parse_body(body))
+            return self._diff(_parse_body(body, path))
         if path == "/shutdown" and method == "POST":
             return self._shutdown()
         if path == "/sessions" and method == "POST":
-            return self._session_create(_parse_body(body))
+            return self._session_create(_parse_body(body, path))
         if path == "/sessions" and method == "GET":
             return self._session_list()
         if len(segments) == 2 and segments[0] == "sessions":
@@ -345,7 +372,9 @@ class ReproApp:
         if len(segments) == 3 and segments[0] == "sessions":
             session_id, action = segments[1], segments[2]
             if action == "append" and method == "POST":
-                return self._session_append(session_id, _parse_body(body))
+                return self._session_append(
+                    session_id, _parse_body(body, "/sessions/{id}/append")
+                )
             if action == "dtd" and method == "GET":
                 return self._session_dtd(session_id)
         raise NotFoundError(f"no route for {method} {path}")

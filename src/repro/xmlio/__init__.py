@@ -11,12 +11,8 @@ Everything is implemented from scratch (no stdlib ``xml`` dependency):
   generation with datatype heuristics.
 
 Evidence extraction (``extract_evidence``, ``StreamingEvidence``, …)
-moved to :mod:`repro.learning.evidence`; the names remain importable
-from here (and from ``repro.xmlio.extract``) through a lazy alias so
-that ``repro.xmlio`` keeps no eager import of the learning layer.
+lives one layer up, in :mod:`repro.learning.evidence`.
 """
-
-from typing import TYPE_CHECKING, Any as _Any
 
 from .datatypes import sniff_type
 from .diff import ElementDiff, diff_dtds, iter_diffs
@@ -43,49 +39,11 @@ from .tree import Document, Element
 from .validate import Violation, is_valid, validate
 from .xsd import dtd_to_xsd
 
-if TYPE_CHECKING:
-    from ..learning.evidence import (
-        CorpusEvidence as CorpusEvidence,
-        ElementEvidence as ElementEvidence,
-        StreamingElementEvidence as StreamingElementEvidence,
-        StreamingEvidence as StreamingEvidence,
-        WordBag as WordBag,
-        child_sequences as child_sequences,
-        extract_evidence as extract_evidence,
-        extract_streaming_evidence as extract_streaming_evidence,
-    )
-
-#: Names that now live in :mod:`repro.learning.evidence`, still
-#: importable from here through the lazy ``__getattr__`` below.
-_EVIDENCE_NAMES = frozenset(
-    {
-        "CorpusEvidence",
-        "ElementEvidence",
-        "StreamingElementEvidence",
-        "StreamingEvidence",
-        "WordBag",
-        "child_sequences",
-        "extract_evidence",
-        "extract_streaming_evidence",
-    }
-)
-
-
-def __getattr__(name: str) -> _Any:
-    if name in _EVIDENCE_NAMES:
-        from ..learning import evidence
-
-        return getattr(evidence, name)
-    # lint: allow R002 — module __getattr__ must raise AttributeError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Any",
     "AttributeDef",
     "Children",
     "ContentModel",
-    "CorpusEvidence",
     "Document",
     "Dtd",
     "DtdSyntaxError",
@@ -93,19 +51,12 @@ __all__ = [
     "ElementDiff",
     "diff_dtds",
     "iter_diffs",
-    "ElementEvidence",
     "Empty",
     "Mixed",
     "ParseFailure",
-    "StreamingElementEvidence",
-    "StreamingEvidence",
     "Violation",
-    "WordBag",
     "XmlSyntaxError",
-    "child_sequences",
     "dtd_to_xsd",
-    "extract_evidence",
-    "extract_streaming_evidence",
     "is_valid",
     "parse_bytes",
     "parse_document",

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import analyze_paths, analyze_source
 from repro.analysis.rules import ALL_RULES
 
@@ -302,14 +304,21 @@ class TestAllowlistPragma:
         assert any(f.rule == "R002" for f in findings)
 
 
+@pytest.fixture(scope="module")
+def live_tree_stats_run() -> subprocess.CompletedProcess[str]:
+    """One ``--stats`` analyzer run over the live tree, shared by the
+    clean-exit check and the stats-report check."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro.analysis", "--stats", "src/repro"],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+    )
+
+
 class TestCli:
-    def test_live_tree_is_clean(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "src/repro"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
+    def test_live_tree_is_clean(self, live_tree_stats_run):
+        result = live_tree_stats_run
         assert result.returncode == 0, result.stdout + result.stderr
 
     def test_json_output_is_machine_readable(self, tmp_path):
@@ -483,19 +492,10 @@ class TestCli:
         assert result.returncode == 1
         assert "reason" in result.stderr
 
-    def test_stats_prints_rule_counts_and_graph_sizes(self):
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.analysis",
-                "--stats",
-                "src/repro",
-            ],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
+    def test_stats_prints_rule_counts_and_graph_sizes(
+        self, live_tree_stats_run
+    ):
+        result = live_tree_stats_run
         assert result.returncode == 0, result.stdout + result.stderr
         assert "per-rule findings:" in result.stderr
         for code in ("R001", "R006", "R010"):

@@ -30,7 +30,7 @@ from .conftest import write_corpus
 
 
 def render(evidence) -> str:
-    return DTDInferencer().infer_from_streaming(evidence).render()
+    return DTDInferencer()._finalize_streaming(evidence).render()
 
 
 def make_evidence(tmp_path, count=12, seed=None):

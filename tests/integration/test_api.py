@@ -1,18 +1,17 @@
-"""The unified façade: equivalence with legacy entry points, validation."""
+"""The unified façade: equivalence with the engine it wraps, validation."""
 
 import random
-import warnings
 
 import pytest
 
 from repro.api import InferenceConfig, InferenceResult, infer
-from repro.core.inference import DTDInferencer, infer_dtd
+from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.errors import UsageError
 from repro.obs import StatsRecorder
-from repro.runtime.parallel import infer_parallel
+from repro.runtime.parallel import parallel_evidence
 from repro.xmlio.dtd import parse_dtd
-from repro.xmlio.extract import extract_evidence, extract_streaming_evidence
+from repro.learning.evidence import extract_evidence, extract_streaming_evidence
 from repro.xmlio.parser import parse_document, parse_file
 
 SCHEMA = (
@@ -36,10 +35,9 @@ def corpus(tmp_path_factory):
 
 
 def _legacy_batch(paths, **kwargs):
+    """The batch engine the façade wraps, driven directly."""
     documents = [parse_file(path) for path in paths]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return DTDInferencer(**kwargs).infer(documents)
+    return DTDInferencer(**kwargs)._finalize_batch(extract_evidence(documents))
 
 
 class TestFacadeMatchesLegacy:
@@ -55,13 +53,9 @@ class TestFacadeMatchesLegacy:
     def test_streaming(self, corpus, method):
         documents = [parse_file(path) for path in corpus]
         evidence = extract_streaming_evidence(documents)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            expected = (
-                DTDInferencer(method=method)
-                .infer_from_streaming(evidence)
-                .render()
-            )
+        expected = (
+            DTDInferencer(method=method)._finalize_streaming(evidence).render()
+        )
         result = infer(
             corpus, config=InferenceConfig(method=method, streaming=True)
         )
@@ -71,9 +65,8 @@ class TestFacadeMatchesLegacy:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_parallel(self, corpus, jobs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            expected = infer_parallel(corpus, jobs=jobs).render()
+        evidence = parallel_evidence(corpus, jobs=jobs)
+        expected = DTDInferencer()._finalize_streaming(evidence).render()
         result = infer(corpus, config=InferenceConfig(jobs=jobs))
         assert result.render() == expected
 
@@ -102,10 +95,10 @@ class TestFacadeMatchesLegacy:
     def test_xsd_output_matches_legacy(self, corpus):
         from repro.xmlio.xsd import dtd_to_xsd
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            inferencer = DTDInferencer()
-            dtd = inferencer.infer([parse_file(path) for path in corpus])
+        inferencer = DTDInferencer()
+        dtd = inferencer._finalize_batch(
+            extract_evidence([parse_file(path) for path in corpus])
+        )
         expected = dtd_to_xsd(dtd, text_types=inferencer.report.text_types)
         assert infer(corpus).to_xsd() == expected
 
@@ -246,33 +239,25 @@ class TestResultAndRecorder:
         assert recorder.counters["shards"] == 2
 
 
-class TestDeprecatedShimsStillWork:
-    """Satellite: `from repro import infer_dtd` etc. keep functioning."""
+class TestEngineCompositions:
+    """The engine compositions the removed one-shot wrappers ran, each
+    held to the façade's DTD over the same corpus."""
 
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        # Shims warn once per process; each test re-arms the gate so
-        # pytest.warns observes the warning regardless of suite order.
-        from repro.errors import reset_legacy_warnings
-
-        reset_legacy_warnings()
-
-    def test_infer_dtd_shim(self, corpus):
+    def test_parsed_documents_match_paths(self, corpus):
         documents = [parse_file(path) for path in corpus]
-        with pytest.warns(DeprecationWarning):
-            dtd = infer_dtd(documents)
-        assert dtd.render() == infer(corpus).render()
+        assert infer(documents).render() == infer(corpus).render()
 
-    def test_infer_from_evidence_shim(self, corpus):
+    def test_finalize_batch_over_extracted_evidence(self, corpus):
         documents = [parse_file(path) for path in corpus]
         evidence = extract_evidence(documents)
-        with pytest.warns(DeprecationWarning):
-            dtd = DTDInferencer().infer_from_evidence(evidence)
+        dtd = DTDInferencer()._finalize_batch(evidence)
         assert dtd.render() == infer(corpus).render()
 
-    def test_infer_parallel_shim(self, corpus):
-        with pytest.warns(DeprecationWarning):
-            dtd = infer_parallel(corpus, jobs=2)
+    def test_finalize_streaming_over_thread_shards(self, corpus):
+        # backend="thread": the auto cost model runs a corpus this small
+        # serially, and this composition is about sharded evidence.
+        evidence = parallel_evidence(corpus, jobs=2, backend="thread")
+        dtd = DTDInferencer()._finalize_streaming(evidence)
         assert dtd.render() == infer(
             corpus, config=InferenceConfig(jobs=2)
         ).render()

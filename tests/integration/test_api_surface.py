@@ -1,19 +1,11 @@
-"""The public API surface: façade exports and deprecation contracts.
+"""The public API surface: façade exports.
 
-Pins down what ``repro.api`` exports and that every legacy entry point
-(a) still works, (b) warns — once per process — and (c) refuses to run
-under ``REPRO_STRICT_API=1``.  A new name showing up in ``__all__`` or
-a shim silently losing its warning should fail loudly here.
+Pins down what ``repro.api`` and the package root export.  A new name
+showing up in ``__all__`` should fail loudly here.
 """
-
-import pytest
 
 import repro
 import repro.api
-from repro.errors import UsageError, reset_legacy_warnings
-from repro.xmlio.parser import parse_document
-
-DOCS = [parse_document("<r><x/></r>"), parse_document("<r><x/><x/></r>")]
 
 
 class TestApiSurface:
@@ -42,11 +34,9 @@ class TestApiSurface:
         assert repro.InferenceConfig is repro.api.InferenceConfig
         assert repro.InferenceResult is repro.api.InferenceResult
         assert repro.InferenceSession is repro.api.InferenceSession
-        # ... and the historical names still resolve.
+        # ... next to the building blocks.
         for name in (
-            "infer_dtd",
             "DTDInferencer",
-            "infer_parallel",
             "infer_sore",
             "infer_chare",
             "parse_document",
@@ -54,120 +44,3 @@ class TestApiSurface:
         ):
             assert hasattr(repro, name), name
             assert name in repro.__all__
-
-    def test_from_repro_import_infer_dtd_still_works(self):
-        from repro import infer_dtd  # the satellite's explicit contract
-
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            dtd = infer_dtd(DOCS)
-        assert "<!ELEMENT r (x+)>" in dtd.render()
-
-
-class TestShimsWarn:
-    """All five legacy entry points emit DeprecationWarning."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        # Shims warn once per process; each test re-arms the gate so
-        # pytest.warns observes the warning regardless of suite order.
-        reset_legacy_warnings()
-
-    def test_inferencer_infer(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.infer"):
-            repro.DTDInferencer().infer(DOCS)
-
-    def test_inferencer_infer_from_evidence(self):
-        from repro.xmlio.extract import extract_evidence
-
-        evidence = extract_evidence(DOCS)
-        with pytest.warns(DeprecationWarning, match="repro.api.infer"):
-            repro.DTDInferencer().infer_from_evidence(evidence)
-
-    def test_inferencer_infer_from_streaming(self):
-        from repro.xmlio.extract import extract_streaming_evidence
-
-        evidence = extract_streaming_evidence(DOCS)
-        with pytest.warns(DeprecationWarning, match="repro.api.infer"):
-            repro.DTDInferencer().infer_from_streaming(evidence)
-
-    def test_module_level_infer_dtd(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.infer"):
-            repro.infer_dtd(DOCS)
-
-    def test_infer_parallel(self, tmp_path):
-        paths = []
-        for index in range(2):
-            path = tmp_path / f"d{index}.xml"
-            path.write_text("<r><x/></r>", encoding="utf-8")
-            paths.append(str(path))
-        with pytest.warns(DeprecationWarning, match="repro.api.infer"):
-            repro.infer_parallel(paths, jobs=1)
-
-    def test_the_facade_itself_does_not_warn(self, recwarn):
-        repro.api.infer(DOCS)
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
-
-
-class TestWarnOnce:
-    """Each shim warns on first use only; the gate is resettable."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        reset_legacy_warnings()
-
-    def test_second_call_is_silent(self, recwarn):
-        with pytest.warns(DeprecationWarning):
-            repro.infer_dtd(DOCS)
-        recwarn.clear()
-        repro.infer_dtd(DOCS)
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_entry_points_warn_independently(self):
-        # Exhausting one shim's warning must not silence another's.
-        with pytest.warns(DeprecationWarning, match="infer_dtd"):
-            repro.infer_dtd(DOCS)
-        with pytest.warns(DeprecationWarning, match="DTDInferencer.infer "):
-            repro.DTDInferencer().infer(DOCS)
-
-    def test_reset_rearms_the_warning(self):
-        with pytest.warns(DeprecationWarning):
-            repro.infer_dtd(DOCS)
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            repro.infer_dtd(DOCS)
-
-
-class TestStrictApi:
-    """REPRO_STRICT_API=1 turns every shim into a UsageError."""
-
-    @pytest.fixture(autouse=True)
-    def _strict(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_API", "1")
-        reset_legacy_warnings()
-
-    def test_infer_dtd_refuses(self):
-        with pytest.raises(UsageError, match="REPRO_STRICT_API"):
-            repro.infer_dtd(DOCS)
-
-    def test_inferencer_infer_refuses(self):
-        with pytest.raises(UsageError, match="repro.api.infer"):
-            repro.DTDInferencer().infer(DOCS)
-
-    def test_infer_parallel_refuses(self, tmp_path):
-        path = tmp_path / "d.xml"
-        path.write_text("<r><x/></r>", encoding="utf-8")
-        with pytest.raises(UsageError, match="scheduled for removal"):
-            repro.infer_parallel([str(path)], jobs=1)
-
-    def test_facade_unaffected(self):
-        assert "<!ELEMENT r" in repro.api.infer(DOCS).render()
-
-    def test_zero_means_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_API", "0")
-        with pytest.warns(DeprecationWarning):
-            repro.infer_dtd(DOCS)

@@ -184,6 +184,28 @@ class TestResilientSessions:
         assert result.render() == api.infer(paths, config=config).render()
         assert result.render() == api.infer(good, config=config).render()
 
+    @pytest.mark.parametrize("as_paths", [True, False], ids=["paths", "literals"])
+    def test_fault_positions_are_session_global(self, tmp_path, as_paths):
+        # Document faults name corpus positions: appends continue the
+        # numbering, so chunked and one-shot runs quarantine the same
+        # document, whether the chunks are files or XML literals.
+        texts = corpus(4)
+        items = self._write_paths(tmp_path, texts) if as_paths else texts
+        config = api.InferenceConfig(
+            streaming=True, on_error="skip", faults={"corrupt_docs": [1]}
+        )
+        session = api.InferenceSession(config)
+        for chunk in chunks(items, 2):
+            session.append(chunk)
+        result = session.current_dtd()
+        expected = api.infer(items, config=config)
+        quarantined = [doc.to_dict() for doc in result.degradation.quarantined]
+        assert len(quarantined) == 1
+        assert quarantined == [
+            doc.to_dict() for doc in expected.degradation.quarantined
+        ]
+        assert result.render() == expected.render()
+
     def test_max_quarantine_is_session_wide(self, tmp_path):
         paths = self._write_paths(
             tmp_path, ["<a/>", "<broken><unclosed>", "<also><broken>"]

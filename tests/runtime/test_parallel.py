@@ -13,14 +13,13 @@ from repro.runtime.parallel import (
     PROCESS_CORPUS_FLOOR,
     choose_backend,
     extract_from_paths,
-    infer_parallel,
     merge_evidence,
     parallel_evidence,
     shard_paths,
     warm_pool,
 )
 from repro.xmlio.dtd import parse_dtd
-from repro.xmlio.extract import extract_streaming_evidence
+from repro.learning.evidence import extract_evidence, extract_streaming_evidence
 from repro.xmlio.parser import parse_file
 
 DTD_SOURCES = [
@@ -44,7 +43,14 @@ def write_corpus(tmp_path, source, count, seed=3):
 
 def batch_dtd(paths, method="auto"):
     inferencer = DTDInferencer(method=method)
-    return inferencer.infer([parse_file(path) for path in paths]).render()
+    evidence = extract_evidence(parse_file(path) for path in paths)
+    return inferencer._finalize_batch(evidence).render()
+
+
+def sharded_dtd(paths, jobs, backend="auto", method="auto"):
+    """The engine behind ``InferenceConfig(jobs=...)``: dispatch, finalize."""
+    evidence = parallel_evidence(paths, jobs=jobs, backend=backend)
+    return DTDInferencer(method=method)._finalize_streaming(evidence)
 
 
 class TestShardPaths:
@@ -71,7 +77,7 @@ class TestStreamingEqualsBatch:
             parse_file(path) for path in paths
         )
         inferencer = DTDInferencer(method=method)
-        streamed = inferencer.infer_from_streaming(evidence).render()
+        streamed = inferencer._finalize_streaming(evidence).render()
         assert streamed == batch_dtd(paths, method)
 
     @pytest.mark.parametrize("source", DTD_SOURCES)
@@ -84,7 +90,7 @@ class TestStreamingEqualsBatch:
             )
             inferencer = DTDInferencer()
             assert (
-                inferencer.infer_from_streaming(merged).render()
+                inferencer._finalize_streaming(merged).render()
                 == batch_dtd(paths)
             )
 
@@ -103,7 +109,7 @@ class TestStreamingEqualsBatch:
             merged = merge_evidence(
                 extract_from_paths(shard) for shard in shards if shard
             )
-            result = DTDInferencer().infer_from_streaming(merged).render()
+            result = DTDInferencer()._finalize_streaming(merged).render()
             assert result == reference
 
 
@@ -115,23 +121,23 @@ class TestParallelEvidence:
 
     def test_thread_backend_identical(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 9)
-        dtd = infer_parallel(paths, jobs=3, backend="thread")
+        dtd = sharded_dtd(paths, jobs=3, backend="thread")
         assert dtd.render() == batch_dtd(paths)
 
     def test_process_backend_identical(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[2], 10)
-        dtd = infer_parallel(paths, jobs=2)
+        dtd = sharded_dtd(paths, jobs=2)
         assert dtd.render() == batch_dtd(paths)
 
     def test_single_file(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 1)
-        dtd = infer_parallel(paths, jobs=4)
+        dtd = sharded_dtd(paths, jobs=4)
         assert dtd.render() == batch_dtd(paths)
 
     def test_methods_respected(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 8)
         for method in ("idtd", "crx"):
-            dtd = infer_parallel(paths, jobs=2, backend="thread", method=method)
+            dtd = sharded_dtd(paths, jobs=2, backend="thread", method=method)
             assert dtd.render() == batch_dtd(paths, method)
 
     def test_jobs_zero_or_negative_rejected(self, tmp_path):
@@ -144,28 +150,6 @@ class TestParallelEvidence:
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 2)
         with pytest.raises(UsageError, match="backend"):
             parallel_evidence(paths, backend="cluster")
-
-    def test_executor_with_explicit_backend_warns(self, tmp_path):
-        from concurrent.futures import ThreadPoolExecutor
-
-        paths = write_corpus(tmp_path, DTD_SOURCES[0], 6)
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            with pytest.warns(RuntimeWarning, match="precedence"):
-                evidence = parallel_evidence(
-                    paths, jobs=2, backend="process", executor=executor
-                )
-        assert evidence.document_count == 6
-
-    def test_executor_with_auto_backend_is_silent(self, tmp_path):
-        import warnings
-        from concurrent.futures import ThreadPoolExecutor
-
-        paths = write_corpus(tmp_path, DTD_SOURCES[0], 6)
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                evidence = parallel_evidence(paths, jobs=2, executor=executor)
-        assert evidence.document_count == 6
 
     def test_backend_choice_is_counted(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 6)
@@ -183,7 +167,7 @@ class TestParallelEvidence:
             parse_file(path) for path in paths
         )
         with pytest.raises(ValueError, match="full child-sequence sample"):
-            inferencer.infer_from_streaming(evidence)
+            inferencer._finalize_streaming(evidence)
 
 
 class TestChooseBackend:

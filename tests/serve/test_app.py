@@ -469,3 +469,60 @@ class TestInferMethods:
         assert appended.status == 200
         rendered = call(app, "GET", f"/sessions/{session_id}/dtd")
         assert "<!ELEMENT r (a & b & c)>" in rendered.payload["dtd"]
+
+
+class TestBodyKeys:
+    """Every POST route names its unknown top-level keys in a 400."""
+
+    @pytest.mark.parametrize(
+        ("target", "body", "unknown"),
+        [
+            # A learner choice outside "config" must not silently run
+            # the default learner; a typo must not silently do nothing.
+            ("/infer", {"documents": DOCS, "method": "sire"}, "method"),
+            ("/infer", {"documents": DOCS, "fromat": "xsd"}, "fromat"),
+            ("/validate", {"documents": DOCS, "dtd": "<!ELEMENT a EMPTY>", "x": 1}, "x"),
+            ("/diff", {"old": "<!ELEMENT a EMPTY>", "new": "<!ELEMENT a EMPTY>", "x": 1}, "x"),
+            ("/sessions", {"x": 1}, "x"),
+        ],
+    )
+    def test_unknown_key_is_400(self, app, target, body, unknown):
+        response = call(app, "POST", target, body)
+        assert response.status == 400
+        error = response.payload["error"]
+        assert error["type"] == "UsageError"
+        assert f"unknown keys for {target}: {unknown} " in error["message"]
+
+    def test_config_field_outside_config_gets_a_hint(self, app):
+        response = call(app, "POST", "/infer", {"documents": DOCS, "method": "sire"})
+        assert "go under 'config'" in response.payload["error"]["message"]
+
+    def test_unknown_append_key_is_400(self, app):
+        session = call(app, "POST", "/sessions", {}).payload["session"]
+        response = call(
+            app,
+            "POST",
+            f"/sessions/{session}/append",
+            {"documents": DOCS, "config": {"method": "crx"}},
+        )
+        assert response.status == 400
+        assert "unknown keys for /sessions/{id}/append: config" in (
+            response.payload["error"]["message"]
+        )
+
+    def test_the_keys_clients_send_are_accepted(self, app):
+        assert call(app, "POST", "/infer", {"documents": DOCS}).status == 200
+        validated = call(
+            app,
+            "POST",
+            "/validate",
+            {"documents": DOCS, "dtd": "<!ELEMENT catalog ANY>"},
+        )
+        assert validated.status == 200
+        created = call(app, "POST", "/sessions", {})
+        assert created.status == 201
+        session = created.payload["session"]
+        appended = call(
+            app, "POST", f"/sessions/{session}/append", {"documents": DOCS}
+        )
+        assert appended.status == 200

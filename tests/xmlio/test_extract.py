@@ -1,6 +1,6 @@
 """Evidence extraction from parsed corpora."""
 
-from repro.xmlio.extract import (
+from repro.learning.evidence import (
     SAMPLE_CAP,
     WordBag,
     child_sequences,

@@ -381,9 +381,15 @@ class SharedStateSync(ProgramRule):
                 info.cls is not None
                 and f"{info.module}:{info.cls}" in shared_classes
             )
+            declared_global = {
+                g
+                for stmt in iter_own_nodes(info.node)
+                if isinstance(stmt, ast.Global)
+                for g in stmt.names
+            }
             for node in iter_own_nodes(info.node):
                 message = self._write_message(
-                    project, info, node, globals_here, in_shared_class
+                    info, node, globals_here, in_shared_class, declared_global
                 )
                 if message is None or id(node) in guarded:
                     continue
@@ -482,11 +488,11 @@ class SharedStateSync(ProgramRule):
 
     def _write_message(
         self,
-        project: Project,
         info: FunctionInfo,
         node: ast.AST,
         globals_here: set[str],
         in_shared_class: bool,
+        declared_global: set[str],
     ) -> str | None:
         def names_global(expr: ast.expr) -> str | None:
             if isinstance(expr, ast.Name) and expr.id in globals_here:
@@ -501,13 +507,6 @@ class SharedStateSync(ProgramRule):
             ):
                 return expr.attr
             return None
-
-        declared_global = {
-            g
-            for stmt in iter_own_nodes(info.node)
-            if isinstance(stmt, ast.Global)
-            for g in stmt.names
-        }
 
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = (
@@ -754,8 +753,8 @@ class ExceptionFlow(ProgramRule):
 #: The declared layer table: module prefix -> level.  An eager import
 #: may only point at the same or a lower level.  ``repro.core`` and
 #: ``repro.learning`` share a level: the inference driver and the
-#: learner substrate are mutually recursive by design (evidence folds
-#: into incremental learner states; the driver consumes both).
+#: learner substrate are mutually recursive by design (evidence builds
+#: incremental learner states; the engine consumes both).
 #: Upward references must be lazy (function-level import) or
 #: ``TYPE_CHECKING``-gated — those kinds are exempt here.
 LAYERS: dict[str, int] = {

@@ -17,12 +17,13 @@ XML literals, file paths, directories (expanded to their sorted
 frozen keyword-only dataclass that rejects illegal combinations at
 construction time, before any parsing starts.
 
-Batch runs fold the corpus into :mod:`repro.learning.evidence` in
-process; every streaming run — sharded or not, resilient or not,
-session appends included — goes through the one shard dispatcher
-(:func:`repro.runtime.parallel.parallel_evidence`), with checkpointed
-runs (:mod:`repro.ckpt`) wrapping it.  All of them finish in the same
-engine (:class:`~repro.core.inference.DTDInferencer`'s finalizers),
+Every run — batch or streaming, sharded or not, resilient or not,
+session appends included — folds documents one at a time into the one
+evidence representation (:mod:`repro.learning.evidence`) through the
+one shard dispatcher (:func:`repro.runtime.parallel.parallel_evidence`),
+with checkpointed runs (:mod:`repro.ckpt`) wrapping it; batch runs pin
+its serial backend, so they never start a pool.  All of them finish in
+the same engine (:meth:`~repro.core.inference.DTDInferencer._finalize`),
 and their outputs are property-tested byte-identical to each other in
 ``tests/integration/test_api.py``.
 """
@@ -50,7 +51,7 @@ from .errors import CorpusError, UsageError
 from .obs.recorder import NULL_RECORDER, Recorder
 from .xmlio.diff import ElementDiff, iter_diffs
 from .xmlio.dtd import Dtd, parse_dtd
-from .learning.evidence import StreamingEvidence, extract_evidence
+from .learning.evidence import StreamingEvidence
 from .xmlio.parser import parse_document, parse_file
 from .xmlio.tree import Document
 from .xmlio.validate import Violation
@@ -93,16 +94,19 @@ class InferenceConfig:
             symbols), ``"sire"`` (SOREs with interleaving ``&``) or
             ``"auto"`` (the paper's sparse/abundant switch between the
             two paper learners; the extensions are opt-in).
-        streaming: fold documents directly into learner states instead
-            of materializing child sequences (constant memory).
+        streaming: let ``backend`` choose a worker pool for the fold.
+            Only a backend choice: every run folds documents one at a
+            time into the same evidence, and batch runs (the default)
+            fold them in the calling process.
         jobs: shard the corpus across this many worker processes and
-            merge the learner states (map-reduce; implies streaming).
+            merge the shard evidence (map-reduce; implies streaming).
             Requires file-path sources.  ``None`` means in-process.
         numeric: tighten ``+``/``*`` to numerical bounds (Section 9).
-            Needs the full sample, so it excludes streaming/jobs.
+            Reads the full sample, so the run's evidence never compacts
+            (:data:`~repro.learning.evidence.DISTINCT_CAP`).
         support_threshold: drop element names seen in fewer than this
             many parent sequences (noise handling, Section 9).  Also
-            needs the full sample.
+            reads the full sample.
         sparse_threshold: the ``auto``-method cut-over sample size.
         infer_attributes: also generate ``<!ATTLIST>`` declarations.
         cache: memoize the per-element finalize step in the
@@ -142,7 +146,7 @@ class InferenceConfig:
             failed shards (``None``: the default bounded-exponential
             policy with deterministic jitter).
         state_dir: checkpoint the run into this directory
-            (:mod:`repro.ckpt`): per-shard learner states are persisted
+            (:mod:`repro.ckpt`): per-shard evidence is persisted
             durably as they complete, together with a content-hash
             manifest of the corpus.  Implies streaming and requires
             file-path sources.
@@ -194,17 +198,6 @@ class InferenceConfig:
         if self.sparse_threshold < 0:
             raise UsageError(
                 f"sparse_threshold must be >= 0, got {self.sparse_threshold}"
-            )
-        if self.effective_streaming and self.numeric:
-            raise UsageError(
-                "numeric (--numeric) needs the full sample: it cannot be "
-                "combined with streaming/jobs (use the batch path)"
-            )
-        if self.effective_streaming and self.support_threshold > 0:
-            raise UsageError(
-                "support_threshold (--support-threshold) rereads the sample: "
-                "it cannot be combined with streaming/jobs (use the batch "
-                "path)"
             )
         if self.on_error not in ("strict", "skip"):
             raise UsageError(
@@ -274,7 +267,7 @@ class InferenceConfig:
 
     @property
     def effective_streaming(self) -> bool:
-        """Whether the run uses the streaming pipeline (jobs implies it)."""
+        """Whether the run may use a worker pool (jobs implies it)."""
         return (
             self.streaming or self.jobs is not None or self.state_dir is not None
         )
@@ -378,18 +371,20 @@ def _streaming_evidence(
     max_quarantine: int | None,
     index_offset: int = 0,
 ) -> StreamingEvidence:
-    """Fold ``items`` into streaming evidence under ``config``.
+    """Fold ``items`` into evidence under ``config``.
 
-    The streaming half of :func:`infer`, shared with
-    :meth:`InferenceSession.append`: checkpointed runs go through
-    :mod:`repro.ckpt`, everything else through the one shard
-    dispatcher.  Already-parsed documents and XML literals fold in
-    the calling process (the serial backend).  ``index_offset`` is the corpus
-    position of ``items[0]``, so a session's fault plan and quarantine
-    report see corpus-global positions across appends.
+    Shared by :func:`infer` and :meth:`InferenceSession.append`:
+    checkpointed runs go through :mod:`repro.ckpt`, everything else
+    through the one shard dispatcher.  Batch runs, already-parsed
+    documents and XML literals fold in the calling process (the serial
+    backend), one document at a time.  Runs that re-read the sample
+    (``numeric``, ``support_threshold``) keep it whole.  ``index_offset``
+    is the corpus position of ``items[0]``, so a session's fault plan
+    and quarantine report see corpus-global positions across appends.
     """
     paths = [item for item in items if isinstance(item, str)]
     all_paths = len(paths) == len(items)
+    keep_sample = config.numeric or config.support_threshold > 0
     if config.jobs is not None and config.jobs > 1 and not all_paths:
         raise UsageError(
             "jobs > 1 shards file paths across worker processes; "
@@ -413,14 +408,26 @@ def _streaming_evidence(
             backend=config.backend,
             recorder=recorder,
             fault_plan=fault_plan,
+            keep_sample=keep_sample,
         )
     from .runtime.parallel import parallel_evidence
 
+    if fault_plan is not None and not config.effective_streaming:
+        # A batch run folds in the calling process: it has no shard
+        # worker for worker crashes or shard timeouts to hit.
+        fault_plan = replace(
+            fault_plan, worker_crashes=frozenset(), shard_timeouts=frozenset()
+        )
     return parallel_evidence(
         items,
         jobs=config.jobs,
-        backend=config.backend if all_paths else "serial",
+        backend=(
+            config.backend
+            if all_paths and config.effective_streaming
+            else "serial"
+        ),
         recorder=recorder,
+        keep_sample=keep_sample,
         plan=fault_plan,
         policy=config.retry,
         on_error=config.on_error,
@@ -477,47 +484,21 @@ def infer(
     if not items:
         raise UsageError("no documents to infer from")
 
-    if config.effective_streaming:
-        evidence = _streaming_evidence(
-            items,
-            config,
-            recorder=recorder,
-            degradation=degradation,
-            fault_plan=fault_plan,
-            max_quarantine=config.max_quarantine,
-        )
-        _require_surviving_documents(degradation, len(items))
-        if recorder.enabled:
-            recorder.count("elements", len(evidence.elements))
-        dtd = inferencer._finalize_streaming(evidence)
-    else:
-        from .runtime.resilience import load_document
-
-        documents = [
-            document
-            for index, item in enumerate(items)
-            if (
-                document := load_document(
-                    item,
-                    index,
-                    plan=fault_plan,
-                    on_error=config.on_error,
-                    report=degradation,
-                    max_quarantine=config.max_quarantine,
-                    recorder=recorder,
-                )
-            )
-            is not None
-        ]
-        _require_surviving_documents(degradation, len(items))
-        with recorder.span("extract", documents=len(documents)):
-            evidence = extract_evidence(documents, recorder=recorder)
-        if config.support_threshold > 0:
-            with recorder.span("filter", threshold=config.support_threshold):
-                apply_support_threshold(
-                    evidence, config.support_threshold, recorder
-                )
-        dtd = inferencer._finalize_batch(evidence)
+    evidence = _streaming_evidence(
+        items,
+        config,
+        recorder=recorder,
+        degradation=degradation,
+        fault_plan=fault_plan,
+        max_quarantine=config.max_quarantine,
+    )
+    _require_surviving_documents(degradation, len(items))
+    if recorder.enabled:
+        recorder.count("elements", len(evidence.elements))
+    if config.support_threshold > 0:
+        with recorder.span("filter", threshold=config.support_threshold):
+            apply_support_threshold(evidence, config.support_threshold, recorder)
+    dtd = inferencer._finalize(evidence)
     if degradation is not None and contracts_enabled():
         from .contracts import check_degradation_report
 
@@ -779,18 +760,18 @@ class AppendReceipt:
 class InferenceSession:
     """A long-lived inference state that grows one append at a time.
 
-    Each :meth:`append` extracts streaming evidence from the new
-    documents and folds it into the session's accumulated per-element
-    learner states via the same merge monoid the sharded pipeline
-    uses; because contiguous-chunk merges reproduce the sequential
+    Each :meth:`append` extracts evidence from the new documents and
+    folds it into the session's accumulated per-element evidence via
+    the same merge monoid the sharded pipeline uses; because
+    contiguous-chunk merges reproduce the sequential
     fold exactly (reservoirs included), :meth:`current_dtd` is
     byte-identical to a fresh :func:`infer` over everything appended
     so far, at any point (ALGORITHMS.md §12).
 
-    Sessions run the streaming pipeline by definition, so
-    ``numeric`` and ``support_threshold`` — which need the full sample
-    materialized — are rejected up front.  A batch-flavoured config is
-    silently promoted to ``streaming=True``.
+    Sessions keep compactable evidence across appends, so ``numeric``
+    and ``support_threshold`` — which re-read the full sample — are
+    rejected up front.  A batch-flavoured config is silently promoted
+    to ``streaming=True``.
 
     Under ``REPRO_CHECKS=1`` every append re-verifies merge
     commutativity between the accumulated state and the new chunk.
@@ -806,13 +787,13 @@ class InferenceSession:
         if config.numeric:
             raise UsageError(
                 "numeric needs the full sample up front: sessions fold "
-                "documents incrementally — use the one-shot batch "
+                "documents incrementally — use the one-shot "
                 "repro.api.infer"
             )
         if config.support_threshold > 0:
             raise UsageError(
                 "support_threshold rereads the full sample: sessions fold "
-                "documents incrementally — use the one-shot batch "
+                "documents incrementally — use the one-shot "
                 "repro.api.infer"
             )
         if config.state_dir is not None:
@@ -972,7 +953,7 @@ class InferenceSession:
         )
         if recorder.enabled:
             recorder.count("elements", len(self._evidence.elements))
-        dtd = inferencer._finalize_streaming(self._evidence)
+        dtd = inferencer._finalize(self._evidence)
         if degradation is not None and contracts_enabled():
             from .contracts import check_degradation_report
 

@@ -1,8 +1,8 @@
-"""Versioned, checksummed serialization of streaming learner states.
+"""Versioned, checksummed serialization of corpus evidence.
 
 A state file is two lines of UTF-8:
 
-1. a JSON *header* — ``{"magic": "repro-ckpt-state", "version": 1,
+1. a JSON *header* — ``{"magic": "repro-ckpt-state", "version": 3,
    "payload_sha256": ..., "payload_bytes": N}``;
 2. the JSON *payload* — the canonical serialization of one
    :class:`~repro.learning.evidence.StreamingEvidence`
@@ -33,7 +33,11 @@ MAGIC = "repro-ckpt-state"
 #   2 — adds the kore/sire learner states (evidence payloads from v1
 #       lack them, so hydration would fail; the version gate rejects
 #       them up front with a clear re-run-from-scratch error instead).
-VERSION = 2
+#   3 — one evidence representation: per element the bag of distinct
+#       child-name sequences with counts, or (past the distinct-word
+#       cap) the four compacted learner states.  v2 payloads hold
+#       learner states only and are rejected by the version gate.
+VERSION = 3
 
 
 class StateDecodeError(CorpusError):
@@ -109,7 +113,8 @@ def decode_state(data: bytes) -> StreamingEvidence:
 def evidence_digest(evidence: StreamingEvidence) -> str:
     """The sha256 of the canonical payload: a content address.
 
-    Equal evidence — same learner states, counters, and reservoirs —
+    Equal evidence — same child-sequence bags (or compacted learner
+    states), counters, and reservoirs —
     yields equal digests in every process, so the digest names the
     state file (``<digest16>.state``) and pins resume ≡ fresh in the
     contracts layer.

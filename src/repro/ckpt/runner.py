@@ -91,6 +91,7 @@ def _reusable_shards(
     old: Manifest | None,
     entries: Sequence[DocumentEntry],
     recorder: Recorder,
+    keep_sample: bool,
 ) -> list[_Reused]:
     """Match old shards against the new corpus, loading cached states.
 
@@ -119,6 +120,9 @@ def _reusable_shards(
         except StateDecodeError:
             recorder.count("ckpt.corrupt")
             continue
+        if keep_sample and evidence.compacted():
+            continue
+        evidence.keep_sample = keep_sample
         recorder.count("ckpt.load")
         recorder.count("ckpt.hit")
         recorder.count("ckpt.skip", len(shard.documents))
@@ -179,6 +183,7 @@ def checkpointed_evidence(
     backend: Backend = "auto",
     recorder: Recorder = NULL_RECORDER,
     fault_plan: FaultPlan | None = None,
+    keep_sample: bool = False,
 ) -> StreamingEvidence:
     """Extract streaming evidence with durable per-shard checkpoints.
 
@@ -194,6 +199,9 @@ def checkpointed_evidence(
     ``fault_plan.kill_after_shards`` hard-kills the process (exit
     status ``CRASH_EXIT_STATUS``) immediately after the named fresh
     shard commits — the hook the crash/resume property tests use.
+
+    ``keep_sample`` builds evidence that never compacts; a cached shard
+    whose evidence compacted cannot serve such a run and is re-parsed.
     """
     run_dir = os.fspath(state_dir)
     os.makedirs(os.path.join(run_dir, SHARD_DIR), exist_ok=True)
@@ -209,7 +217,9 @@ def checkpointed_evidence(
             DocumentEntry(path=os.fspath(path), sha256=file_sha256(path))
             for path in paths
         ]
-        reused = _reusable_shards(run_dir, old if resume else None, entries, recorder)
+        reused = _reusable_shards(
+            run_dir, old if resume else None, entries, recorder, keep_sample
+        )
         segments = _fresh_segments(entries, reused)
 
         manifest = Manifest(sample_cap=SAMPLE_CAP)
@@ -256,6 +266,7 @@ def checkpointed_evidence(
                 recorder,
                 index_offset=start,
                 on_result=_commit,
+                keep_sample=keep_sample,
             )
             parts.append((start, evidence))
         merged = merge_evidence(

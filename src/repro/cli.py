@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument(
         "--streaming",
         action="store_true",
-        help="fold documents directly into learner states instead of "
-        "materializing child sequences (constant memory in corpus size)",
+        help="let --backend pick a worker pool for the fold (the DTD is "
+        "the same either way)",
     )
     infer.add_argument(
         "--jobs",
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="shard the corpus across N worker processes and merge the "
-        "learner states (map-reduce; implies --streaming)",
+        "shard evidence (map-reduce; implies --streaming)",
     )
     infer.add_argument(
         "--backend",
@@ -314,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir",
         metavar="DIR",
         default=None,
-        help="checkpoint the run into DIR: per-shard learner states are "
-        "committed durably as they complete, with a content-hash manifest "
+        help="checkpoint the run into DIR: each shard's evidence is "
+        "committed durably as it completes, with a content-hash manifest "
         "of the corpus (implies --streaming; requires file paths)",
     )
     infer.add_argument(

@@ -341,29 +341,25 @@ def check_degradation_report(report: DegradationReport, dtd: Dtd) -> None:
 def _learner_fingerprint(
     evidence: StreamingEvidence,
 ) -> dict[str, tuple[object, ...]]:
-    """The order-insensitive part of streaming evidence, per element.
+    """The order-insensitive part of the evidence, per element.
 
-    Text/attribute reservoirs are deliberately excluded: they keep the
-    *first* ``SAMPLE_CAP`` values in corpus order, so they are ordered
-    by design and only the learner states form a commutative monoid.
+    The bag of child-name sequences (or, once compacted, the learner
+    states) plus the counters.  Text/attribute reservoirs are
+    deliberately excluded: they keep the *first* ``SAMPLE_CAP`` values
+    in corpus order, so they are ordered by design and only the rest
+    forms a commutative monoid.
     """
     fingerprint: dict[str, tuple[object, ...]] = {}
     for name, element in evidence.elements.items():
-        soa = element.soa.soa
-        crx = element.crx.state
         fingerprint[name] = (
-            frozenset(soa.symbols),
-            frozenset(soa.initial),
-            frozenset(soa.final),
-            frozenset(soa.edges),
-            soa.accepts_empty,
-            frozenset(crx.arrows),
-            frozenset(crx.alphabet),
-            frozenset(crx.profiles.items()),
-            crx.word_count,
+            dict(element.child_sequences.counts),
+            None
+            if element.compacted is None
+            else {
+                method: learner.dehydrate()
+                for method, learner in element.compacted.items()
+            },
             element.occurrences,
-            element.nonempty_count,
-            element.empty_count,
             element.has_text,
         )
     return fingerprint
@@ -372,10 +368,11 @@ def _learner_fingerprint(
 def check_merge_commutative(
     left: StreamingEvidence, right: StreamingEvidence
 ) -> None:
-    """Merging shard learner states must commute (the map-reduce law).
+    """Merging shard evidence must commute (the map-reduce law).
 
     Runs both merge orders on deep copies and compares the resulting
-    learner states; the inputs are left untouched.
+    bags (or compacted learner states) and counters; the inputs are
+    left untouched.
     """
     forward = copy.deepcopy(left)
     forward.merge(copy.deepcopy(right))
@@ -391,7 +388,7 @@ def check_merge_commutative(
         raise _violated(
             "parallel.merge-commutativity",
             "merging shard evidence in opposite orders produced different "
-            f"learner states for elements {differing}",
+            f"evidence for elements {differing}",
         )
     if forward.document_count != backward.document_count:
         raise _violated(
@@ -440,7 +437,9 @@ def check_checkpoint_resume(
     from .runtime.parallel import extract_from_paths
 
     cached = evidence_digest(evidence)
-    fresh = evidence_digest(extract_from_paths(paths))
+    fresh = evidence_digest(
+        extract_from_paths(paths, keep_sample=evidence.keep_sample)
+    )
     if cached != fresh:
         raise _violated(
             "ckpt.resume-equals-fresh",

@@ -27,17 +27,19 @@ attribute lists are generated from attribute usage.  Numerical
 predicates (Section 9) can be switched on to tighten ``+``/``*``.
 
 The public entry point is :func:`repro.api.infer`; this module is the
-engine behind it (:meth:`DTDInferencer._finalize_batch` over
-:class:`~repro.learning.evidence.CorpusEvidence`,
-:meth:`DTDInferencer._finalize_streaming` over
-:class:`~repro.learning.evidence.StreamingEvidence`).
+engine behind it.  Every pipeline shape hands it the same evidence, a
+:class:`~repro.learning.evidence.StreamingEvidence`, and
+:meth:`DTDInferencer._finalize` derives each element's content model
+in one place (:meth:`DTDInferencer._content_model`): learner state is
+built there, from the element's distinct child-name sequences, only
+for the methods on the chosen method's fallback ladder that run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, Literal
+from collections.abc import Callable
+from typing import TYPE_CHECKING, Literal, cast
 
 from ..contracts import (
     check_cached_content_model,
@@ -45,16 +47,11 @@ from ..contracts import (
     contracts_enabled,
 )
 from ..errors import CorpusError, UsageError
-from ..learning.kore import IncrementalKore
-from ..learning.sire import IncrementalSire
-from ..learning.tinf import tinf
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..regex.ast import Opt, Regex
 from ..regex.normalize import normalize
 from ..learning import evidence as evidence_module
 from ..learning.evidence import (
-    CorpusEvidence,
-    ElementEvidence,
     StreamingElementEvidence,
     StreamingEvidence,
     WordBag,
@@ -62,11 +59,13 @@ from ..learning.evidence import (
 from ..xmlio.datatypes import sniff_type
 from ..xmlio.dtd import Any as AnyContent
 from ..xmlio.dtd import AttributeDef, Children, Dtd, Empty, Mixed
-from .crx import CrxState
 from .idtd import idtd_from_soa
 from .numeric import annotate_numeric
 
 if TYPE_CHECKING:
+    from .crx import CrxState
+    from ..learning.kore import IncrementalKore
+    from ..learning.sire import IncrementalSire
     from ..runtime.cache import CacheKey, ContentModelCache
     from ..runtime.resilience import DegradationReport, FaultPlan
 
@@ -105,7 +104,7 @@ class InferenceReport:
 
 
 class DTDInferencer:
-    """Infers a complete DTD from parsed XML documents.
+    """Infers a complete DTD from corpus evidence.
 
     Parameters:
         method: which learner to use per element (see module docstring).
@@ -113,7 +112,8 @@ class DTDInferencer:
         numeric: tighten ``+``/``*`` into ``{m,n}`` bounds (Section 9).
         infer_attributes: also generate ``<!ATTLIST>`` declarations.
         recorder: instrumentation sink (see :mod:`repro.obs`); spans
-            ``soa``/``rewrite``/``crx`` are opened per element.
+            ``soa``/``rewrite``/``crx``/``kore``/``sire`` are opened
+            per element.
         cache: an optional :class:`repro.runtime.cache.ContentModelCache`
             memoizing the per-element finalize step, keyed on a
             fingerprint of the merged learner state.  ``None`` (the
@@ -219,54 +219,20 @@ class DTDInferencer:
         return regex
 
     def _learn_regex(
-        self,
-        name: str,
-        words: WordBag | Sequence[tuple[str, ...]],
-        method: str | None = None,
-    ) -> tuple[Regex, str]:
-        sample = words if isinstance(words, WordBag) else WordBag(words)
-        if method is None:
-            method = self._pick_method(sample.nonempty_total)
+        self, evidence: StreamingElementEvidence, method: str
+    ) -> Regex:
+        """``method``'s content model for one element's evidence.
+
+        The learner state is built here, from the distinct words (or
+        taken from a compacted element), so only the methods that run
+        pay for a fold.  The cache key is the state's canonical
+        fingerprint.
+        """
+        name = evidence.name
         recorder = self.recorder
-        # Both learners are insensitive to word order and (for their
-        # structural part) to multiplicities, so learning runs over the
-        # distinct words only — multiplicities enter CRX through
-        # ``add_counted`` and never matter to the SOA triple.
-        if method == "crx":
-            with recorder.span("crx", element=name):
-                state = CrxState()
-                for word, count in sample.distinct():
-                    state.add_counted(word, count)
-                regex = self._memoized(
-                    "crx",
-                    state.canonical_fingerprint,
-                    lambda: state.infer(recorder=recorder),
-                    name,
-                )
-        elif method == "kore":
-            with recorder.span("kore", element=name):
-                kore = IncrementalKore()
-                kore.add_all(sample.distinct_words())
-                regex = self._memoized(
-                    "kore",
-                    kore.canonical_fingerprint,
-                    lambda: kore.infer(recorder=recorder),
-                    name,
-                )
-        elif method == "sire":
-            with recorder.span("sire", element=name):
-                sire = IncrementalSire()
-                for word, count in sample.distinct():
-                    sire.add_counted(word, count)
-                regex = self._memoized(
-                    "sire",
-                    sire.canonical_fingerprint,
-                    lambda: sire.infer(recorder=recorder),
-                    name,
-                )
-        else:
+        if method == "idtd":
             with recorder.span("soa", element=name):
-                soa = tinf(sample.distinct_words(), recorder=recorder)
+                soa = evidence.learner("idtd").soa
 
             def derive_sore() -> Regex:
                 with recorder.span("rewrite", element=name):
@@ -275,12 +241,28 @@ class DTDInferencer:
             regex = self._memoized(
                 "idtd", soa.canonical_fingerprint, derive_sore, name
             )
+        else:
+            with recorder.span(method, element=name):
+                state: CrxState | IncrementalKore | IncrementalSire = (
+                    evidence.learner("crx").state
+                    if method == "crx"
+                    else cast(
+                        "IncrementalKore | IncrementalSire",
+                        evidence.learner(method),
+                    )
+                )
+                regex = self._memoized(
+                    method,
+                    state.canonical_fingerprint,
+                    lambda: state.infer(recorder=recorder),
+                    name,
+                )
         if self.numeric:
             # Numeric bounds read the full distinct-word sample, which
             # the fingerprint deliberately does not cover — annotation
             # therefore always runs fresh, on top of the cached core.
-            regex = annotate_numeric(regex, sample.distinct_words())
-        return regex, method
+            regex = annotate_numeric(regex, evidence.sample().distinct_words())
+        return regex
 
     def _derive_children(
         self,
@@ -344,40 +326,6 @@ class DTDInferencer:
         return regex
 
     def _content_model(
-        self, evidence: ElementEvidence
-    ) -> Children | Mixed | Empty | AnyContent:
-        sample = evidence.child_sequences
-        has_children = sample.nonempty_total > 0
-        if evidence.has_text and has_children:
-            names = sorted(
-                {name for word, _ in sample.distinct() for name in word}
-            )
-            self.report.method_used[evidence.name] = "mixed"
-            return Mixed(names=tuple(names))
-        if evidence.has_text:
-            self.report.method_used[evidence.name] = "pcdata"
-            self.report.text_types[evidence.name] = sniff_type(
-                evidence.text_values
-            )
-            return Mixed(names=())
-        if not has_children:
-            self.report.method_used[evidence.name] = "empty"
-            return Empty()
-        regex, method = self._derive_children(
-            evidence.name,
-            sample.nonempty_total,
-            lambda chosen: self._learn_regex(evidence.name, sample, chosen)[0],
-        )
-        if regex is None:
-            self.report.method_used[evidence.name] = "any"
-            return AnyContent()
-        regex = self._wrap_optional(regex, sample.has_empty())
-        if contracts_enabled():
-            check_content_model(regex, evidence.name)
-        self.report.method_used[evidence.name] = method
-        return Children(regex=regex)
-
-    def _content_model_streaming(
         self, evidence: StreamingElementEvidence
     ) -> Children | Mixed | Empty | AnyContent:
         has_children = evidence.nonempty_count > 0
@@ -393,61 +341,10 @@ class DTDInferencer:
         if not has_children:
             self.report.method_used[evidence.name] = "empty"
             return Empty()
-        recorder = self.recorder
-
-        def learn(method: str) -> Regex:
-            if method == "crx":
-
-                def derive_chare() -> Regex:
-                    with recorder.span("crx", element=evidence.name):
-                        return evidence.crx.infer(recorder=recorder)
-
-                return self._memoized(
-                    "crx",
-                    evidence.crx.state.canonical_fingerprint,
-                    derive_chare,
-                    evidence.name,
-                )
-
-            if method == "kore":
-
-                def derive_kore() -> Regex:
-                    with recorder.span("kore", element=evidence.name):
-                        return evidence.kore.infer(recorder=recorder)
-
-                return self._memoized(
-                    "kore",
-                    evidence.kore.canonical_fingerprint,
-                    derive_kore,
-                    evidence.name,
-                )
-
-            if method == "sire":
-
-                def derive_sire() -> Regex:
-                    with recorder.span("sire", element=evidence.name):
-                        return evidence.sire.infer(recorder=recorder)
-
-                return self._memoized(
-                    "sire",
-                    evidence.sire.canonical_fingerprint,
-                    derive_sire,
-                    evidence.name,
-                )
-
-            # The SOA itself was built during extraction (its fold time
-            # shows up under the streaming ``soa`` aggregate spans);
-            # what remains here is the Section 5/6 rewrite + repair.
-            def derive_sore() -> Regex:
-                with recorder.span("rewrite", element=evidence.name):
-                    return evidence.soa.infer(recorder=recorder)
-
-            return self._memoized(
-                "idtd", evidence.soa.soa.canonical_fingerprint, derive_sore, evidence.name
-            )
-
         regex, method = self._derive_children(
-            evidence.name, evidence.nonempty_count, learn
+            evidence.name,
+            evidence.nonempty_count,
+            lambda chosen: self._learn_regex(evidence, chosen),
         )
         if regex is None:
             self.report.method_used[evidence.name] = "any"
@@ -458,9 +355,7 @@ class DTDInferencer:
         self.report.method_used[evidence.name] = method
         return Children(regex=regex)
 
-    def _attlist(
-        self, evidence: ElementEvidence | StreamingElementEvidence
-    ) -> list[AttributeDef]:
+    def _attlist(self, evidence: StreamingElementEvidence) -> list[AttributeDef]:
         definitions: list[AttributeDef] = []
         for attribute in sorted(evidence.attribute_presence):
             always = (
@@ -479,9 +374,9 @@ class DTDInferencer:
             )
         return definitions
 
-    # -- the engine (no deprecation warnings; the façade calls these) ---------
+    # -- the engine ------------------------------------------------------------
 
-    def _finalize_batch(self, evidence: CorpusEvidence) -> Dtd:
+    def _finalize(self, evidence: StreamingEvidence) -> Dtd:
         dtd = Dtd(start=evidence.majority_root())
         for name in sorted(evidence.elements):
             element_evidence = evidence.elements[name]
@@ -490,31 +385,24 @@ class DTDInferencer:
                 dtd.attributes[name] = self._attlist(element_evidence)
         return dtd
 
-    def _finalize_streaming(self, evidence: StreamingEvidence) -> Dtd:
-        if self.numeric:
-            raise UsageError(
-                "numerical predicates need the full child-sequence sample; "
-                "use the batch path with numeric=True"
-            )
-        dtd = Dtd(start=evidence.majority_root())
-        for name in sorted(evidence.elements):
-            element_evidence = evidence.elements[name]
-            dtd.elements[name] = self._content_model_streaming(element_evidence)
-            if self.infer_attributes and element_evidence.attribute_presence:
-                dtd.attributes[name] = self._attlist(element_evidence)
-        return dtd
+    # The span tracer of perfbench/spans.py binds these names.
+    _finalize_batch = _finalize_streaming = _finalize
+    _content_model_streaming = _content_model
 
 
 def apply_support_threshold(
-    evidence: CorpusEvidence,
+    evidence: StreamingEvidence,
     threshold: int,
     recorder: Recorder = NULL_RECORDER,
 ) -> None:
     """Noise handling (Section 9): drop element names mentioned in
-    fewer than ``threshold`` parent sequences, corpus-wide."""
+    fewer than ``threshold`` parent sequences, corpus-wide.
+
+    Re-reads every sample, so ``evidence`` must be built with
+    ``keep_sample=True``."""
     support: dict[str, int] = {}
     for element in evidence.elements.values():
-        for sequence, count in element.child_sequences.distinct():
+        for sequence, count in element.sample().distinct():
             for name in set(sequence):
                 support[name] = support.get(name, 0) + count
     noisy = {
@@ -535,4 +423,3 @@ def apply_support_threshold(
         element.child_sequences = filtered
     for name in noisy:
         evidence.elements.pop(name, None)
-

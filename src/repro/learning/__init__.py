@@ -10,21 +10,19 @@
   beyond-SORE extension learners (k-occurrence REs and interleaving);
 * :class:`WeightedSOA` / :func:`idtd_denoised` — Section 9 noise
   handling with per-edge supports;
-* :mod:`repro.learning.evidence` — corpus evidence extraction: the
-  batch :class:`CorpusEvidence` sample and the shard-mergeable
-  :class:`StreamingEvidence` fold straight into the incremental
-  learner states above.
+* :mod:`repro.learning.evidence` — corpus evidence extraction: one
+  shard-mergeable :class:`StreamingEvidence` for every pipeline, a bag
+  of distinct child-name sequences per element from which the
+  incremental learner states above are built at finalize (or into
+  which it compacts past :data:`~repro.learning.evidence.DISTINCT_CAP`).
 """
 
 from .evidence import (
-    CorpusEvidence,
-    ElementEvidence,
     StreamingElementEvidence,
     StreamingEvidence,
     WordBag,
     child_sequences,
     extract_evidence,
-    extract_streaming_evidence,
 )
 from .incremental import IncrementalCRX, IncrementalSOA
 from .kore import IncrementalKore
@@ -34,9 +32,7 @@ from .sampling import covering_subsample, reservoir_sample
 from .tinf import KTestableAutomaton, ktinf, sample_two_grams, tinf
 
 __all__ = [
-    "CorpusEvidence",
     "DenoisedResult",
-    "ElementEvidence",
     "IncrementalCRX",
     "IncrementalKore",
     "IncrementalSOA",
@@ -49,7 +45,6 @@ __all__ = [
     "child_sequences",
     "covering_subsample",
     "extract_evidence",
-    "extract_streaming_evidence",
     "idtd_denoised",
     "ktinf",
     "reservoir_sample",

@@ -1,4 +1,4 @@
-"""Extraction of inference examples from XML documents.
+"""Extraction of inference evidence from XML documents.
 
 DTD inference reduces to learning one regular expression per element
 name from the child-name sequences occurring below it (Section 1.2).
@@ -7,36 +7,52 @@ plus the side information the extensions need (text content for
 datatype sniffing, attribute usage for ATTLIST generation).
 
 Evidence extraction lives in :mod:`repro.learning` (not
-:mod:`repro.xmlio`) because folding a document *is* learning: the
-streaming representation feeds every child sequence straight into the
-incremental learner states, so this module sits in the layer that owns
-those states.
+:mod:`repro.xmlio`) because the evidence owns the learner states every
+content model is finalized from.
 
-Two evidence representations are provided:
+There is one evidence representation, :class:`StreamingEvidence`, for
+every pipeline shape — batch, streaming, sharded, sessions and
+checkpoints.  Per element name (:class:`StreamingElementEvidence`) it
+keeps:
 
-* :class:`CorpusEvidence` — the batch representation.  Child-name
-  sequences are kept (deduplicated with multiplicities, see
-  :class:`WordBag`) so any learner, including the numeric-predicate
-  annotator and the noise filter, can re-read the sample.
-* :class:`StreamingEvidence` — the Section 9 representation.  Each
-  document is folded directly into per-element learner states
-  (:class:`~repro.learning.incremental.IncrementalSOA` /
-  :class:`~repro.learning.incremental.IncrementalCRX`) plus bounded
-  text/attribute reservoirs, so memory is bounded by the *schema* size
-  (alphabet, 2-grams, distinct occurrence profiles), not the corpus
-  size.  Streaming states support :meth:`~StreamingEvidence.merge`, so
-  evidence built from disjoint corpus shards combines associatively —
-  the map-reduce property behind :mod:`repro.runtime.parallel`.
+* the child-name sequences as a :class:`WordBag` — the *distinct*
+  words with their multiplicities.  Every learner is insensitive to
+  word order and reads multiplicities only through ``add_counted``
+  (Section 9), and real corpora repeat the same few sequences
+  massively, so folding a document costs one counter update per
+  element occurrence;
+* the occurrence counter and bounded text/attribute reservoirs.
+
+Learner states are built lazily, at finalize, by
+:meth:`StreamingElementEvidence.learner`: only for the methods that
+actually run, folding each distinct word once.
+
+**Memory guard.**  Section 9 promises memory bounded by the schema,
+not the corpus.  An element whose bag grows past :data:`DISTINCT_CAP`
+distinct words *compacts*: the bag is folded into the four mergeable
+learner states (:class:`~repro.learning.incremental.IncrementalSOA`,
+:class:`~repro.learning.incremental.IncrementalCRX`,
+:class:`~repro.learning.kore.IncrementalKore`,
+:class:`~repro.learning.sire.IncrementalSire`) and every later word
+folds straight into them.  An element ends up compacted exactly when
+its corpus-wide distinct count exceeds the cap, however the corpus was
+sharded, so compacted evidence is as canonical as a bag.  Evidence
+built with ``keep_sample=True`` never compacts: numeric predicates and
+the support threshold re-read the full sample.
+
+Evidence merges associatively (:meth:`StreamingEvidence.merge`), so
+evidence built from disjoint corpus shards combines into the evidence
+of the whole corpus — the map-reduce property behind
+:mod:`repro.runtime.parallel`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from time import perf_counter  # lint: allow R005 — feeds the recorder only
 from collections.abc import Iterable, Iterator, Mapping
+from typing import Literal, overload
 
-from ..errors import CorpusError
+from ..errors import CorpusError, InternalError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..xmlio.tree import Document, Element
 from .incremental import (
@@ -55,13 +71,32 @@ Word = tuple[str, ...]
 #: of the evidence constant-size in corpus length.
 SAMPLE_CAP = 1000
 
+#: Distinct child-name sequences one element may hold before its bag
+#: compacts into learner states (the memory guard above).  Measured
+#: per element: 2000 draws from the ``repro.datagen`` Table 1/2
+#: generators hold 9-1910 distinct words (1-95%; example4's
+#: representative sample alone is 3367, all distinct), the fuzz shapes
+#: at most 38, and the benchmark corpora at most 747 (protein) and 400
+#: (wide models).  At the cap a bag of 20-name words is ~1-2 MB.
+DISTINCT_CAP = 4096
+
+Learner = IncrementalSOA | IncrementalCRX | IncrementalKore | IncrementalSire
+
+#: The learner state each method is finalized from.
+LEARNERS: dict[str, type[Learner]] = {
+    "idtd": IncrementalSOA,
+    "crx": IncrementalCRX,
+    "kore": IncrementalKore,
+    "sire": IncrementalSire,
+}
+
 
 class WordBag:
     """A multiset of words, stored deduplicated with multiplicities.
 
     Real corpora repeat the same child-name sequences massively (every
     ``<book>`` with one author produces the same word), so storing a
-    ``Counter`` instead of a list makes batch evidence scale with the
+    ``Counter`` instead of a list makes evidence scale with the
     number of *distinct* sequences.  Multiplicities are preserved
     because CRX's quantifier inference needs them: iterating a bag
     yields each word once per occurrence, in first-seen order.
@@ -121,147 +156,21 @@ class WordBag:
         return f"WordBag({dict(self.counts)!r})"
 
 
-@dataclass
-class ElementEvidence:
-    """Everything observed about one element name across a corpus."""
-
-    name: str
-    child_sequences: WordBag = field(default_factory=WordBag)
-    has_text: bool = False
-    occurrences: int = 0
-    attribute_values: dict[str, list[str]] = field(default_factory=dict)
-    attribute_presence: dict[str, int] = field(default_factory=dict)
-    text_values: list[str] = field(default_factory=list)
-
-    def merge(self, other: "ElementEvidence") -> None:
-        """Fold evidence about the same element name from another shard.
-
-        Reservoirs concatenate in shard order and re-truncate to
-        :data:`SAMPLE_CAP`; with contiguous shards this reproduces the
-        batch reservoirs exactly (the first ``SAMPLE_CAP`` values in
-        document order).
-        """
-        self.child_sequences.merge(other.child_sequences)
-        self.has_text = self.has_text or other.has_text
-        self.occurrences += other.occurrences
-        _merge_reservoirs(self, other)
-
-    def __post_init__(self) -> None:
-        if isinstance(self.child_sequences, list):
-            self.child_sequences = WordBag(self.child_sequences)
-
-
-def _observe_text_and_attributes(
-    evidence: ElementEvidence | StreamingElementEvidence, element: Element
-) -> None:
-    """Shared text/attribute bookkeeping for both evidence flavours."""
-    if element.has_text():
-        evidence.has_text = True
-        stripped = element.text().strip()
-        if stripped and len(evidence.text_values) < SAMPLE_CAP:
-            evidence.text_values.append(stripped)
-    for attribute, value in element.attributes.items():
-        evidence.attribute_presence[attribute] = (
-            evidence.attribute_presence.get(attribute, 0) + 1
-        )
-        samples = evidence.attribute_values.setdefault(attribute, [])
-        if len(samples) < SAMPLE_CAP:
-            samples.append(value)
-
-
-def _merge_reservoirs(
-    evidence: ElementEvidence | StreamingElementEvidence,
-    other: ElementEvidence | StreamingElementEvidence,
-) -> None:
-    """Shared text/attribute merge for both evidence flavours."""
-    if len(evidence.text_values) < SAMPLE_CAP:
-        evidence.text_values.extend(
-            other.text_values[: SAMPLE_CAP - len(evidence.text_values)]
-        )
-    for attribute, count in other.attribute_presence.items():
-        evidence.attribute_presence[attribute] = (
-            evidence.attribute_presence.get(attribute, 0) + count
-        )
-    for attribute, values in other.attribute_values.items():
-        samples = evidence.attribute_values.setdefault(attribute, [])
-        if len(samples) < SAMPLE_CAP:
-            samples.extend(values[: SAMPLE_CAP - len(samples)])
-
-
-def _majority(counts: dict[str, int]) -> str | None:
-    if not counts:
-        return None
-    return max(sorted(counts), key=lambda name: counts[name])
-
-
-@dataclass
-class CorpusEvidence:
-    """Per-element evidence plus corpus-level bookkeeping."""
-
-    elements: dict[str, ElementEvidence] = field(default_factory=dict)
-    roots: list[str] = field(default_factory=list)
-    document_count: int = 0
-
-    def evidence_for(self, name: str) -> ElementEvidence:
-        if name not in self.elements:
-            self.elements[name] = ElementEvidence(name=name)
-        return self.elements[name]
-
-    def add_element(self, element: Element) -> None:
-        evidence = self.evidence_for(element.name)
-        evidence.occurrences += 1
-        evidence.child_sequences.add(element.child_names())
-        _observe_text_and_attributes(evidence, element)
-
-    def add_document(self, document: Document) -> None:
-        self.document_count += 1
-        self.roots.append(document.root.name)
-        for element in document.iter():
-            self.add_element(element)
-
-    def add_documents(self, documents: Iterable[Document]) -> None:
-        for document in documents:
-            self.add_document(document)
-
-    def merge(self, other: "CorpusEvidence") -> None:
-        """Fold evidence from another (disjoint) sub-corpus in place."""
-        for name, element in other.elements.items():
-            self.evidence_for(name).merge(element)
-        self.roots.extend(other.roots)
-        self.document_count += other.document_count
-
-    def samples(self) -> dict[str, WordBag]:
-        """Element name → the child-sequence sample for its content model."""
-        return {
-            name: evidence.child_sequences
-            for name, evidence in self.elements.items()
-        }
-
-    def majority_root(self) -> str | None:
-        return _majority(Counter(self.roots))
-
-
 class StreamingElementEvidence:
-    """Constant-size evidence about one element name.
+    """Everything observed about one element name.
 
-    Child-name sequences are *not* retained: each one is folded into an
-    :class:`IncrementalSOA` (for iDTD), an :class:`IncrementalCRX`
-    (for CRX), an :class:`~repro.learning.kore.IncrementalKore` and an
-    :class:`~repro.learning.sire.IncrementalSire`
-    the moment it is observed, together with the counters the
-    DTD layer needs (occurrences, empty/non-empty content splits) and
-    the same bounded text/attribute reservoirs as the batch path.
+    ``child_sequences`` is the bag of distinct child-name sequences;
+    ``compacted`` is ``None`` until the bag outgrows
+    :data:`DISTINCT_CAP`, and from then on holds the four learner
+    states (by method name) that every word — earlier and later —
+    has been folded into, with the bag left empty.
     """
 
     __slots__ = (
         "name",
-        "soa",
-        "crx",
-        "kore",
-        "sire",
+        "child_sequences",
+        "compacted",
         "occurrences",
-        "nonempty_count",
-        "empty_count",
         "has_text",
         "text_values",
         "attribute_values",
@@ -270,87 +179,163 @@ class StreamingElementEvidence:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.soa = IncrementalSOA()
-        self.crx = IncrementalCRX()
-        self.kore = IncrementalKore()
-        self.sire = IncrementalSire()
+        self.child_sequences = WordBag()
+        self.compacted: dict[str, Learner] | None = None
         self.occurrences = 0
-        self.nonempty_count = 0
-        self.empty_count = 0
         self.has_text = False
         self.text_values: list[str] = []
         self.attribute_values: dict[str, list[str]] = {}
         self.attribute_presence: dict[str, int] = {}
 
+    # -- counters and the sample -----------------------------------------------
+
+    @property
+    def nonempty_count(self) -> int:
+        """Occurrences with at least one child element."""
+        if self.compacted is not None:
+            state = self.learner("crx").state
+            return state.word_count - state.profiles.get(frozenset(), 0)
+        return self.child_sequences.nonempty_total
+
+    @property
+    def empty_count(self) -> int:
+        """Occurrences without child elements."""
+        return self.occurrences - self.nonempty_count
+
     @property
     def child_alphabet(self) -> set[str]:
         """All child names ever observed below this element."""
-        return self.crx.state.alphabet
+        if self.compacted is not None:
+            return set(self.learner("crx").state.alphabet)
+        return {name for word in self.child_sequences.counts for name in word}
 
-    def add_sequence(
-        self, word: Word, recorder: Recorder = NULL_RECORDER
-    ) -> None:
-        if recorder.enabled:
-            # Folding runs once per element occurrence — far too hot
-            # for per-call spans, so per-learner time is accumulated
-            # per element name and flushed as aggregate spans.
-            t0 = perf_counter()
-            self.soa.add(word)
-            t1 = perf_counter()
-            self.crx.add(word)
-            t2 = perf_counter()
-            self.kore.add(word)
-            t3 = perf_counter()
-            self.sire.add(word)
-            t4 = perf_counter()
-            recorder.add_time("soa", t1 - t0, element=self.name)
-            recorder.add_time("crx", t2 - t1, element=self.name)
-            recorder.add_time("kore", t3 - t2, element=self.name)
-            recorder.add_time("sire", t4 - t3, element=self.name)
-        else:
-            self.soa.add(word)
-            self.crx.add(word)
-            self.kore.add(word)
-            self.sire.add(word)
-        if word:
-            self.nonempty_count += 1
-        else:
-            self.empty_count += 1
+    def sample(self) -> WordBag:
+        """The full child-sequence sample (numeric bounds, noise filter).
 
-    def observe(
-        self, element: Element, recorder: Recorder = NULL_RECORDER
-    ) -> None:
+        Only uncompacted evidence has it: runs that re-read the sample
+        build their evidence with ``keep_sample=True``.
+        """
+        if self.compacted is not None:
+            raise InternalError(
+                f"evidence for element {self.name!r} was compacted past "
+                f"{DISTINCT_CAP} distinct words; re-reading the sample "
+                "needs evidence built with keep_sample=True"
+            )
+        return self.child_sequences
+
+    @overload
+    def learner(self, method: Literal["idtd"]) -> IncrementalSOA: ...
+
+    @overload
+    def learner(self, method: Literal["crx"]) -> IncrementalCRX: ...
+
+    @overload
+    def learner(self, method: str) -> Learner: ...
+
+    def learner(self, method: str) -> Learner:
+        """The ``method`` learner state over every word observed.
+
+        Built on demand from the bag, each distinct word folded once
+        with its multiplicity; a compacted element returns its live
+        state (callers must not mutate it).
+        """
+        if self.compacted is not None:
+            return self.compacted[method]
+        learner = LEARNERS[method]()
+        for word, count in self.child_sequences.distinct():
+            learner.add_counted(word, count)
+        return learner
+
+    def compact(self) -> dict[str, Learner]:
+        """Fold the bag into every learner state and empty it."""
+        if self.compacted is None:
+            self.compacted = {method: self.learner(method) for method in LEARNERS}
+            self.child_sequences = WordBag()
+        return self.compacted
+
+    # -- folding -----------------------------------------------------------------
+
+    def observe(self, element: Element, cap: int | None = None) -> None:
+        """Fold one occurrence; compact past ``cap`` distinct words."""
         self.occurrences += 1
-        self.add_sequence(element.child_names(), recorder)
-        _observe_text_and_attributes(self, element)
+        word = element.child_names()
+        if self.compacted is None:
+            bag = self.child_sequences
+            bag.add(word)
+            if cap is not None and len(bag.counts) > cap:
+                self.compact()
+        else:
+            for learner in self.compacted.values():
+                learner.add_counted(word, 1)
+        if element.has_text():
+            self.has_text = True
+            stripped = element.text().strip()
+            if stripped and len(self.text_values) < SAMPLE_CAP:
+                self.text_values.append(stripped)
+        for attribute, value in element.attributes.items():
+            self.attribute_presence[attribute] = (
+                self.attribute_presence.get(attribute, 0) + 1
+            )
+            samples = self.attribute_values.setdefault(attribute, [])
+            if len(samples) < SAMPLE_CAP:
+                samples.append(value)
 
-    def merge(self, other: "StreamingElementEvidence") -> None:
-        self.soa.merge(other.soa)
-        self.crx.merge(other.crx)
-        self.kore.merge(other.kore)
-        self.sire.merge(other.sire)
+    def merge(
+        self, other: "StreamingElementEvidence", cap: int | None = None
+    ) -> None:
+        """Fold evidence about the same element name from another shard.
+
+        Reservoirs concatenate in shard order and re-truncate to
+        :data:`SAMPLE_CAP`; with contiguous shards this reproduces a
+        single pass exactly (the first ``SAMPLE_CAP`` values in
+        document order).
+        """
+        if self.compacted is None and other.compacted is None:
+            self.child_sequences.merge(other.child_sequences)
+            if cap is not None and len(self.child_sequences.counts) > cap:
+                self.compact()
+        else:
+            for method, learner in self.compact().items():
+                learner.merge(other.learner(method))  # type: ignore[arg-type]
         self.occurrences += other.occurrences
-        self.nonempty_count += other.nonempty_count
-        self.empty_count += other.empty_count
         self.has_text = self.has_text or other.has_text
-        _merge_reservoirs(self, other)
+        if len(self.text_values) < SAMPLE_CAP:
+            self.text_values.extend(
+                other.text_values[: SAMPLE_CAP - len(self.text_values)]
+            )
+        for attribute, count in other.attribute_presence.items():
+            self.attribute_presence[attribute] = (
+                self.attribute_presence.get(attribute, 0) + count
+            )
+        for attribute, values in other.attribute_values.items():
+            samples = self.attribute_values.setdefault(attribute, [])
+            if len(samples) < SAMPLE_CAP:
+                samples.extend(values[: SAMPLE_CAP - len(samples)])
+
+    # -- (de)hydration -------------------------------------------------------------
 
     def dehydrate(self) -> dict[str, object]:
         """Everything this evidence holds, as sorted JSON-ready values.
 
-        Learner states go through their canonical (sorted) forms;
-        reservoirs keep their order because it *is* part of the state
+        The bag and learner states go through sorted forms; reservoirs
+        keep their order because it *is* part of the state
         (first-``SAMPLE_CAP``-in-document-order semantics).
         """
         return {
             "name": self.name,
-            "soa": self.soa.dehydrate(),
-            "crx": self.crx.dehydrate(),
-            "kore": self.kore.dehydrate(),
-            "sire": self.sire.dehydrate(),
+            "child_sequences": [
+                [list(word), count]
+                for word, count in sorted(self.child_sequences.counts.items())
+            ],
+            "compacted": (
+                None
+                if self.compacted is None
+                else {
+                    method: learner.dehydrate()
+                    for method, learner in sorted(self.compacted.items())
+                }
+            ),
             "occurrences": self.occurrences,
-            "nonempty_count": self.nonempty_count,
-            "empty_count": self.empty_count,
             "has_text": self.has_text,
             "text_values": list(self.text_values),
             "attribute_values": {
@@ -367,32 +352,47 @@ class StreamingElementEvidence:
         if not isinstance(name, str):
             raise CorpusError("element evidence payload lacks a name")
         evidence = cls(name)
-        soa_payload = payload.get("soa")
-        crx_payload = payload.get("crx")
-        if not isinstance(soa_payload, Mapping) or not isinstance(
-            crx_payload, Mapping
-        ):
+        raw_words = payload.get("child_sequences")
+        if not isinstance(raw_words, list):
             raise CorpusError(
-                f"element evidence for {name!r} lacks learner states"
+                f"element evidence for {name!r} lacks its child sequences"
             )
-        evidence.soa = IncrementalSOA.hydrate(soa_payload)
-        evidence.crx = IncrementalCRX.hydrate(crx_payload)
-        kore_payload = payload.get("kore")
-        sire_payload = payload.get("sire")
-        if not isinstance(kore_payload, Mapping) or not isinstance(
-            sire_payload, Mapping
-        ):
-            # Required, not defaulted: evidence written before the
-            # kore/sire learners existed cannot be resumed silently
-            # (the checkpoint codec version gate rejects it first).
-            raise CorpusError(
-                f"element evidence for {name!r} lacks kore/sire learner states"
-            )
-        evidence.kore = IncrementalKore.hydrate(kore_payload)
-        evidence.sire = IncrementalSire.hydrate(sire_payload)
+        for entry in raw_words:
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not isinstance(entry[0], list)
+                or not all(isinstance(symbol, str) for symbol in entry[0])
+                or not isinstance(entry[1], int)
+                or entry[1] <= 0
+            ):
+                raise CorpusError(
+                    f"child sequence entry for {name!r} is malformed: {entry!r}"
+                )
+            evidence.child_sequences.add(entry[0], entry[1])
+        raw_compacted = payload.get("compacted")
+        if raw_compacted is not None:
+            if not isinstance(raw_compacted, Mapping) or set(raw_compacted) != set(
+                LEARNERS
+            ):
+                raise CorpusError(
+                    f"compacted learner states for {name!r} are malformed"
+                )
+            if evidence.child_sequences:
+                raise CorpusError(
+                    f"element evidence for {name!r} is both compacted and "
+                    "holds child sequences"
+                )
+            compacted: dict[str, Learner] = {}
+            for method, learner_type in LEARNERS.items():
+                state = raw_compacted[method]
+                if not isinstance(state, Mapping):
+                    raise CorpusError(
+                        f"{method} learner state for {name!r} is malformed"
+                    )
+                compacted[method] = learner_type.hydrate(state)
+            evidence.compacted = compacted
         evidence.occurrences = _payload_int(payload, "occurrences")
-        evidence.nonempty_count = _payload_int(payload, "nonempty_count")
-        evidence.empty_count = _payload_int(payload, "empty_count")
         evidence.has_text = bool(payload.get("has_text", False))
         evidence.text_values = _payload_strings(payload, "text_values")
         raw_values = payload.get("attribute_values", {})
@@ -418,21 +418,32 @@ class StreamingElementEvidence:
         return evidence
 
 
-class StreamingEvidence:
-    """Corpus evidence folded on the fly into learner states.
+def _majority(counts: dict[str, int]) -> str | None:
+    if not counts:
+        return None
+    return max(sorted(counts), key=lambda name: counts[name])
 
-    Memory is bounded by the inferred schema's complexity (alphabet
-    sizes, 2-gram sets, distinct CRX occurrence profiles) plus the
-    fixed reservoirs — *not* by the number of documents or element
-    occurrences, which is what Section 9 promises makes both learners
-    incrementally updatable.  ``merge`` combines evidence from disjoint
+
+class StreamingEvidence:
+    """Per-element evidence plus corpus-level bookkeeping.
+
+    Memory is bounded by the number of distinct child-name sequences
+    per element (at most :data:`DISTINCT_CAP` before compaction) plus
+    the fixed reservoirs — *not* by the number of documents or element
+    occurrences.  ``keep_sample=True`` disables compaction for runs that
+    re-read the full sample.  ``merge`` combines evidence from disjoint
     corpus shards associatively, enabling map-reduce inference.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, keep_sample: bool = False) -> None:
         self.elements: dict[str, StreamingElementEvidence] = {}
         self.root_counts: Counter[str] = Counter()
         self.document_count = 0
+        self.keep_sample = keep_sample
+
+    def _cap(self) -> int | None:
+        # Looked up per call, so a patched module cap takes effect.
+        return None if self.keep_sample else DISTINCT_CAP
 
     def evidence_for(self, name: str) -> StreamingElementEvidence:
         if name not in self.elements:
@@ -444,9 +455,16 @@ class StreamingEvidence:
     ) -> None:
         self.document_count += 1
         self.root_counts[document.root.name] += 1
+        cap = self._cap()
+        elements = self.elements
         sequences = 0
         for element in document.iter():
-            self.evidence_for(element.name).observe(element, recorder)
+            evidence = elements.get(element.name)
+            if evidence is None:
+                evidence = elements[element.name] = StreamingElementEvidence(
+                    element.name
+                )
+            evidence.observe(element, cap)
             sequences += 1
         if recorder.enabled:
             recorder.count("child_sequences", sequences)
@@ -459,10 +477,17 @@ class StreamingEvidence:
 
     def merge(self, other: "StreamingEvidence") -> None:
         """Fold evidence from another (disjoint) corpus shard in place."""
+        cap = self._cap()
         for name, element in other.elements.items():
-            self.evidence_for(name).merge(element)
+            self.evidence_for(name).merge(element, cap)
         self.root_counts.update(other.root_counts)
         self.document_count += other.document_count
+
+    def compacted(self) -> bool:
+        """Whether any element has compacted past :data:`DISTINCT_CAP`."""
+        return any(
+            element.compacted is not None for element in self.elements.values()
+        )
 
     def majority_root(self) -> str | None:
         return _majority(self.root_counts)
@@ -520,30 +545,11 @@ class StreamingEvidence:
 
 def extract_evidence(
     documents: Iterable[Document], recorder: Recorder = NULL_RECORDER
-) -> CorpusEvidence:
-    """Collect per-element evidence from a corpus of documents."""
-    evidence = CorpusEvidence()
-    evidence.add_documents(documents)
-    if recorder.enabled:
-        recorder.count("elements", len(evidence.elements))
-        recorder.count(
-            "child_sequences",
-            sum(
-                element.child_sequences.total
-                for element in evidence.elements.values()
-            ),
-        )
-    return evidence
-
-
-def extract_streaming_evidence(
-    documents: Iterable[Document], recorder: Recorder = NULL_RECORDER
 ) -> StreamingEvidence:
-    """Fold a corpus directly into per-element learner states.
+    """Fold a corpus of parsed documents into evidence.
 
-    Unlike :func:`extract_evidence` this never materializes the
-    child-sequence sample; documents may come from a lazy iterator and
-    are dropped as soon as they are folded in.
+    Documents may come from a lazy iterator; each is dropped as soon as
+    it is folded in.
     """
     evidence = StreamingEvidence()
     evidence.add_documents(documents, recorder)

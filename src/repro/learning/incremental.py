@@ -113,6 +113,10 @@ class IncrementalSOA:
             self._cached = None
         return changed
 
+    def add_counted(self, word: Word, count: int) -> bool:
+        """Fold ``count`` occurrences of ``word``: the SOA is count-blind."""
+        return count > 0 and self.add(word)
+
     def add_all(self, words: Iterable[Word]) -> bool:
         changed = False
         for word in words:
@@ -226,6 +230,12 @@ class IncrementalCRX:
         """
         if count <= 0:
             return False
+        if self._summaries is None:
+            # Nothing derived yet, so every word counts as a change
+            # (as in :meth:`add`); skip the per-word change detection.
+            self.state.add_counted(word, count)
+            self._invalidate()
+            return True
         changed = self.add(word)
         if count > 1:
             self.state.add_counted(word, count - 1)

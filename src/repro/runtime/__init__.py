@@ -1,8 +1,9 @@
 """Execution backends: sharded, data-parallel corpus processing.
 
 * :func:`parallel_evidence` — the one shard dispatcher behind every
-  streaming run: shard the corpus, extract+learn per shard in worker
-  processes, merge the (tiny) learner states (and per-shard stats
+  run: shard the corpus, fold each shard's documents into evidence in
+  worker processes (batch runs: one serial shard in the calling
+  process), merge the shard evidence (and per-shard stats
   snapshots when a recorder is live), retrying, falling back and
   quarantining under the fault-tolerance policy.
 * :func:`choose_backend` — the adaptive cost model behind

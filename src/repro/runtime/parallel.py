@@ -1,21 +1,21 @@
 """The one shard dispatcher: map-reduce DTD inference (Section 9, scaled out).
 
-Both learners keep internal state that is tiny compared to the corpus
-(the SOA triple for iDTD; the arrow relation plus occurrence profiles
-for CRX) and that state merges associatively.  That makes inference
-embarrassingly data-parallel:
+Corpus evidence — per element a bag of distinct child-name sequences,
+counters and bounded reservoirs (:mod:`repro.learning.evidence`) — is
+small compared to the corpus and merges associatively.  That makes
+inference embarrassingly data-parallel:
 
 * **map** — each worker loads its shard of corpus items and folds them
-  into a :class:`~repro.learning.evidence.StreamingEvidence` (constant
-  memory in shard size; only file paths cross the process boundary on
-  the way in, only learner states on the way out);
-* **reduce** — shard states merge in shard order, which reproduces the
-  batch evidence exactly (including the bounded text/attribute
+  into a :class:`~repro.learning.evidence.StreamingEvidence` one
+  document at a time (only file paths cross the process boundary on
+  the way in, only evidence on the way out);
+* **reduce** — shard evidence merges in shard order, which reproduces
+  a single pass exactly (including the bounded text/attribute
   reservoirs, because shards are contiguous chunks of the corpus);
 * **finalize** — one :class:`~repro.core.inference.DTDInferencer` pass
-  over the merged states.
+  over the merged evidence.
 
-The result is byte-identical to batch inference on the same corpus —
+The result is byte-identical to a serial run on the same corpus —
 property-tested in ``tests/runtime/test_parallel.py``.
 
 :func:`parallel_evidence` is the only dispatcher.  Every streaming
@@ -245,7 +245,7 @@ def shard_paths(paths: Sequence[_ItemT], shards: int) -> list[list[_ItemT]]:
     Chunks are contiguous (not round-robin) and returned in corpus
     order so that merging shard evidence left-to-right visits values in
     the same order as a sequential pass — the property that keeps the
-    capped text/attribute reservoirs identical to the batch path.
+    capped text/attribute reservoirs identical to a serial pass.
     """
     paths = list(paths)
     if not paths:
@@ -296,18 +296,20 @@ def extract_from_paths(
     plan: FaultPlan | None = None,
     on_error: str = "strict",
     report: DegradationReport | None = None,
+    keep_sample: bool = False,
 ) -> StreamingEvidence:
-    """The load-and-fold loop: load each item, fold it into streaming state.
+    """The load-and-fold loop: load each item, fold it into evidence.
 
-    Every streaming route into the learners runs this loop — pool
-    workers, the serial backend, the in-process fallback for failing
-    shards and already-parsed documents.  Items load one at a time under the
+    Every route into the learners runs this loop — pool workers, the
+    serial backend, the in-process fallback for failing shards and
+    already-parsed documents.  Items load one at a time under the
     error policy (:func:`~repro.runtime.resilience.load_document`,
     which sees corpus position ``offset + i``) and are released right
-    after folding; the footprint is one document plus the learner
-    states.  Quarantined documents land in ``report``.
+    after folding; the footprint is one document plus the evidence.
+    Quarantined documents land in ``report``; ``keep_sample`` is
+    passed to :class:`StreamingEvidence`.
     """
-    evidence = StreamingEvidence()
+    evidence = StreamingEvidence(keep_sample)
     for index, item in enumerate(items, start=offset):
         document = load_document(
             item,
@@ -318,6 +320,9 @@ def extract_from_paths(
             recorder=recorder,
         )
         if document is None:
+            continue
+        if not recorder.enabled:  # the hot path: no per-document span
+            evidence.add_document(document)
             continue
         label = item if isinstance(item, str) else f"<document #{index}>"
         with recorder.span("extract", file=label):
@@ -337,6 +342,7 @@ class _ShardJob:
     on_error: str
     backend: Backend
     recorded: bool
+    keep_sample: bool
 
 
 _ShardResult = tuple[StreamingEvidence, "Snapshot | None", list[QuarantinedDocument]]
@@ -359,6 +365,7 @@ def _fold_shard(job: _ShardJob, recorder: Recorder) -> _ShardResult:
         plan=job.plan,
         on_error=job.on_error,
         report=sink,
+        keep_sample=job.keep_sample,
     )
     return evidence, None, sink.quarantined
 
@@ -537,8 +544,9 @@ def parallel_evidence(
     report: DegradationReport | None = None,
     index_offset: int = 0,
     on_result: ShardHook | None = None,
+    keep_sample: bool = False,
 ) -> StreamingEvidence:
-    """Extract streaming evidence from ``items`` using ``jobs`` workers.
+    """Extract evidence from ``items`` using ``jobs`` workers.
 
     Backend and shard count come from :func:`resolve_backend`.  Items
     are file paths; already-parsed documents can only run on the
@@ -554,6 +562,8 @@ def parallel_evidence(
     messages use corpus-global positions across calls (a session's
     appends, a checkpointed run's fresh segments).  ``on_result``
     fires once per shard in shard order (see :func:`_pooled_results`).
+    ``keep_sample`` builds evidence that never compacts, for runs that
+    re-read the full sample.
 
     With a live ``recorder``, the chosen backend is counted under
     ``parallel.backend.<name>``, each pool worker records into its own
@@ -583,6 +593,7 @@ def parallel_evidence(
                 on_error=on_error,
                 backend=chosen,
                 recorded=recorder.enabled,
+                keep_sample=keep_sample,
             )
         )
         offset += len(shard)

@@ -6,6 +6,12 @@ correct syntax": every element becomes a global ``xs:element``, its
 content model becomes nested ``xs:sequence`` / ``xs:choice`` particles,
 and the unary operators (including the numerical predicates of
 :class:`~repro.regex.ast.Repeat`) become ``minOccurs`` / ``maxOccurs``.
+Nested unary operators compose into one pair when their occurrence
+counts form one interval; otherwise the outer pair rides on a wrapping
+``xs:sequence``, so every witnessed word stays valid.  The SIRE
+learner's top-level interleavings of single elements become
+``xs:all``; other interleavings have no XSD 1.0 form and raise a
+:class:`~repro.errors.UsageError`.
 Text-only elements get a datatype from :func:`repro.xmlio.datatypes
 .sniff_type` when sample values are provided.
 """
@@ -14,8 +20,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from ..errors import InternalError
-from ..regex.ast import Concat, Disj, Opt, Plus, Regex, Repeat, Star, Sym
+from ..errors import InternalError, UsageError
+from ..regex.ast import Concat, Disj, Inter, Opt, Plus, Regex, Repeat, Star, Sym
 from .dtd import Any, AttributeDef, Dtd, Empty, Mixed
 
 
@@ -28,18 +34,62 @@ def _occurs(low: int, high: int | None) -> str:
     return (" " + " ".join(parts)) if parts else ""
 
 
+def _bounds(regex: Regex) -> tuple[int, int | None] | None:
+    """The occurrence bounds of a unary operator node, else ``None``."""
+    if isinstance(regex, Opt):
+        return 0, 1
+    if isinstance(regex, Plus):
+        return 1, None
+    if isinstance(regex, Star):
+        return 0, None
+    if isinstance(regex, Repeat):
+        return regex.low, regex.high
+    return None
+
+
+def _compose(
+    outer: tuple[int, int | None], inner: tuple[int, int | None]
+) -> tuple[int, int | None] | None:
+    """The bounds of ``(x{inner}){outer}`` when they form one interval.
+
+    ``k`` repetitions of ``x{il,ih}`` give ``[k*il, k*ih]`` occurrences;
+    the union over ``k`` in ``[ol, oh]`` is one interval iff consecutive
+    ``k`` leave no gap, and the tightest spot is the smallest ``k``.
+    Otherwise (``(a{2,2})?`` is 0 or 2, never 1) there is no single
+    ``minOccurs``/``maxOccurs`` pair, and ``None`` is returned.
+    """
+    (outer_low, outer_high), (inner_low, inner_high) = outer, inner
+    if outer_low != outer_high:
+        if inner_high is None:
+            contiguous = outer_low > 0 or inner_low <= 1
+        else:
+            contiguous = (outer_low + 1) * inner_low <= outer_low * inner_high + 1
+        if not contiguous:
+            return None
+    high = (
+        None
+        if outer_high is None or inner_high is None
+        else outer_high * inner_high
+    )
+    return outer_low * inner_low, high
+
+
 def _particle(regex: Regex, indent: str, low: int = 1, high: int | None = 1) -> list[str]:
     occurs = _occurs(low, high)
+    bounds = _bounds(regex)
+    if bounds is not None:
+        inner = regex.children()[0]
+        composed = _compose((low, high), bounds)
+        if composed is not None:
+            return _particle(inner, indent, *composed)
+        # The outer bounds ride on a sequence wrapping the inner ones.
+        return (
+            [f"{indent}<xs:sequence{occurs}>"]
+            + _particle(inner, indent + "  ", *bounds)
+            + [f"{indent}</xs:sequence>"]
+        )
     if isinstance(regex, Sym):
         return [f'{indent}<xs:element ref="{regex.name}"{occurs}/>']
-    if isinstance(regex, Opt):
-        return _particle(regex.inner, indent, low=0, high=_combine_high(1, high))
-    if isinstance(regex, Plus):
-        return _particle(regex.inner, indent, low=max(low, 1) if low else 1, high=None)
-    if isinstance(regex, Star):
-        return _particle(regex.inner, indent, low=0, high=None)
-    if isinstance(regex, Repeat):
-        return _particle(regex.inner, indent, low=regex.low, high=regex.high)
     if isinstance(regex, Concat):
         lines = [f"{indent}<xs:sequence{occurs}>"]
         for part in regex.parts:
@@ -55,10 +105,36 @@ def _particle(regex: Regex, indent: str, low: int = 1, high: int | None = 1) -> 
     raise InternalError(f"unknown regex node: {regex!r}")
 
 
-def _combine_high(inner: int | None, outer: int | None) -> int | None:
-    if inner is None or outer is None:
-        return None
-    return inner * outer
+def _all_group(regex: Regex, element: str, indent: str) -> list[str] | None:
+    """An interleaving content model as an ``xs:all`` group, if it is one.
+
+    XSD 1.0 allows ``xs:all`` only as the whole content model, over
+    element particles occurring at most once.  So a top-level ``Inter``
+    (optionally wrapped in ``?``) of ``a``/``a?`` operands lowers to
+    it; any other interleaving has no XSD 1.0 form and is a
+    :class:`~repro.errors.UsageError` naming the element.  Returns
+    ``None`` for interleaving-free models.
+    """
+    group, occurs = regex, ""
+    if isinstance(group, Opt) and isinstance(group.inner, Inter):
+        group, occurs = group.inner, ' minOccurs="0"'
+    if isinstance(group, Inter) and all(
+        isinstance(branch, Sym)
+        or (isinstance(branch, Opt) and isinstance(branch.inner, Sym))
+        for branch in group.branches
+    ):
+        lines = [f"{indent}<xs:all{occurs}>"]
+        for branch in group.branches:
+            lines.extend(_particle(branch, indent + "  "))
+        lines.append(f"{indent}</xs:all>")
+        return lines
+    if any(isinstance(node, Inter) for node in regex.walk()):
+        raise UsageError(
+            f"element {element!r}: the interleaving in its content model "
+            "has no XSD 1.0 form (xs:all holds only single elements "
+            "occurring at most once, as the whole content model)"
+        )
+    return None
 
 
 def _attribute_lines(attributes: list[AttributeDef], indent: str) -> list[str]:
@@ -129,12 +205,11 @@ def dtd_to_xsd(
                 lines.append("      </xs:choice>")
         else:  # Children
             lines.append("    <xs:complexType>")
-            particle = _particle(model.regex, "      ")
+            particle = _all_group(model.regex, name, "      ") or _particle(
+                model.regex, "      "
+            )
             stripped = particle[0].lstrip()
-            if not (
-                stripped.startswith("<xs:sequence")
-                or stripped.startswith("<xs:choice")
-            ):
+            if not stripped.startswith(("<xs:sequence", "<xs:choice", "<xs:all")):
                 particle = (
                     ["      <xs:sequence>"]
                     + _particle(model.regex, "        ")

@@ -391,10 +391,9 @@ def mutate(
 class TestSeededMutations:
     """Each mutation plants one realistic bug; the rule must catch it."""
 
-    def test_live_tree_is_clean_baseline(self, live_sources):
-        project = Project.from_sources(live_sources)
+    def test_live_tree_is_clean_baseline(self, live_project):
         findings = [
-            f for rule in PROGRAM_RULES for f in rule.check(project)
+            f for rule in PROGRAM_RULES for f in rule.check(live_project)
         ]
         assert findings == [], findings
 

@@ -13,15 +13,11 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.project import (
     Project,
     dotted_text,
     module_name_for_path,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestModuleNaming:
@@ -253,11 +249,6 @@ class TestSubclasses:
         )
         closure = project.subclasses_of(["repro.e:Root"])
         assert closure == {"repro.e:Root", "repro.e:Mid", "repro.e:Leaf"}
-
-
-@pytest.fixture(scope="module")
-def live_project() -> Project:
-    return Project.from_paths([REPO_ROOT / "src" / "repro"])
 
 
 def top_package(module: str) -> str:

@@ -10,6 +10,7 @@ length — is *detected*, never silently folded in.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,43 @@ class TestCorruptionDetection:
     def test_read_state_missing_file(self, tmp_path):
         with pytest.raises(StateDecodeError):
             read_state(tmp_path / "never-written.state")
+
+    def test_v2_state_hits_the_version_gate(self):
+        """A v2 file — learner states per element, no child-sequence
+        bag — is well-formed and checksummed, yet must be refused."""
+        from repro.learning.incremental import IncrementalCRX, IncrementalSOA
+        from repro.learning.kore import IncrementalKore
+        from repro.learning.sire import IncrementalSire
+
+        element = {
+            "name": "r",
+            "soa": IncrementalSOA().dehydrate(),
+            "crx": IncrementalCRX().dehydrate(),
+            "kore": IncrementalKore().dehydrate(),
+            "sire": IncrementalSire().dehydrate(),
+            "occurrences": 1,
+            "nonempty_count": 0,
+            "empty_count": 1,
+            "has_text": False,
+            "text_values": [],
+            "attribute_values": {},
+            "attribute_presence": {},
+        }
+        payload = json.dumps(
+            {"elements": [element], "root_counts": [["r", 1]], "document_count": 1},
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode()
+        header = json.dumps(
+            {
+                "magic": "repro-ckpt-state",
+                "version": 2,
+                "payload_sha256": hashlib.sha256(payload).hexdigest(),
+                "payload_bytes": len(payload),
+            }
+        ).encode()
+        with pytest.raises(StateDecodeError, match="unsupported state version 2"):
+            decode_state(header + b"\n" + payload + b"\n")
 
 
 class TestFileSha256:

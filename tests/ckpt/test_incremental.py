@@ -131,6 +131,22 @@ class TestDegradedCaches:
         assert counters.get("ckpt.write", 0) >= 1
         assert rendered == first
 
+    def test_v2_state_files_are_reparsed(self, tmp_path):
+        paths, state, first = first_run(tmp_path)
+        shard_dir = os.path.join(state, "shards")
+        for name in os.listdir(shard_dir):
+            target = os.path.join(shard_dir, name)
+            with open(target, "rb") as handle:
+                header_line, rest = handle.read().split(b"\n", 1)
+            header = dict(json.loads(header_line), version=2)
+            with open(target, "wb") as handle:
+                handle.write(json.dumps(header).encode() + b"\n" + rest)
+
+        rendered, counters = checkpointed(paths, state, resume=True)
+        assert counters.get("ckpt.corrupt") == JOBS
+        assert counters.get("ckpt.hit") is None
+        assert rendered == first == fresh_render(paths)
+
     def test_sample_cap_mismatch_drops_every_shard(self, tmp_path):
         paths, state, first = first_run(tmp_path)
         manifest_path = os.path.join(state, MANIFEST_NAME)

@@ -228,8 +228,8 @@ class TestMergeMutations:
             # genuinely disagree.
             if bigger_first:
                 for element in self.elements.values():
-                    if element.crx.state.arrows:
-                        element.crx.state.arrows.pop()
+                    if element.child_sequences.counts:
+                        element.child_sequences.counts.popitem()
                         break
 
         monkeypatch.setattr(StreamingEvidence, "merge", biased_merge)

@@ -11,7 +11,7 @@ from repro.errors import UsageError
 from repro.obs import StatsRecorder
 from repro.runtime.parallel import parallel_evidence
 from repro.xmlio.dtd import parse_dtd
-from repro.learning.evidence import extract_evidence, extract_streaming_evidence
+from repro.learning.evidence import extract_evidence
 from repro.xmlio.parser import parse_document, parse_file
 
 SCHEMA = (
@@ -52,7 +52,7 @@ class TestFacadeMatchesLegacy:
     @pytest.mark.parametrize("method", ["auto", "idtd", "crx"])
     def test_streaming(self, corpus, method):
         documents = [parse_file(path) for path in corpus]
-        evidence = extract_streaming_evidence(documents)
+        evidence = extract_evidence(documents)
         expected = (
             DTDInferencer(method=method)._finalize_streaming(evidence).render()
         )
@@ -172,17 +172,15 @@ class TestInferenceConfigValidation:
         with pytest.raises(UsageError):
             InferenceConfig(method="magic")
 
-    def test_numeric_excludes_streaming(self):
-        with pytest.raises(UsageError, match="--numeric"):
-            InferenceConfig(streaming=True, numeric=True)
+    def test_numeric_combines_with_streaming(self):
+        assert InferenceConfig(streaming=True, numeric=True).numeric
 
-    def test_numeric_excludes_jobs(self):
-        with pytest.raises(UsageError, match="--numeric"):
-            InferenceConfig(jobs=2, numeric=True)
+    def test_numeric_combines_with_jobs(self):
+        assert InferenceConfig(jobs=2, numeric=True).effective_streaming
 
-    def test_support_threshold_excludes_streaming(self):
-        with pytest.raises(UsageError, match="--support-threshold"):
-            InferenceConfig(streaming=True, support_threshold=3)
+    def test_support_threshold_combines_with_streaming(self):
+        config = InferenceConfig(streaming=True, support_threshold=3)
+        assert config.support_threshold == 3
 
     def test_nonpositive_jobs(self):
         with pytest.raises(UsageError):

@@ -59,16 +59,22 @@ class TestStreamingInfer:
         assert main(["infer", "--format", "xsd", "--jobs", "2", *corpus_files]) == 0
         assert capsys.readouterr().out == batch
 
-    def test_streaming_rejects_numeric(self, corpus_files, capsys):
-        assert main(["infer", "--streaming", "--numeric", *corpus_files]) == 1
-        assert "--numeric" in capsys.readouterr().err
+    def test_streaming_numeric_identical_to_batch(self, corpus_files, capsys):
+        assert main(["infer", "--numeric", *corpus_files]) == 0
+        batch = capsys.readouterr().out
+        assert main(["infer", "--streaming", "--numeric", *corpus_files]) == 0
+        assert capsys.readouterr().out == batch
 
-    def test_streaming_rejects_support_threshold(self, corpus_files, capsys):
+    def test_parallel_support_threshold_identical_to_batch(
+        self, corpus_files, capsys
+    ):
+        assert main(["infer", "--support-threshold", "3", *corpus_files]) == 0
+        batch = capsys.readouterr().out
         code = main(
             ["infer", "--jobs", "2", "--support-threshold", "3", *corpus_files]
         )
-        assert code == 1
-        assert "--support-threshold" in capsys.readouterr().err
+        assert code == 0
+        assert capsys.readouterr().out == batch
 
 
 class TestExitCodes:

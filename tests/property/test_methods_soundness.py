@@ -147,7 +147,12 @@ class TestPipelineByteIdentity:
         assert session.current_dtd().render() == one_shot
 
     @pytest.mark.parametrize("method", ["kore", "sire"])
-    def test_checkpointed_and_resumed_match_plain(self, tmp_path, method):
+    def test_checkpointed_and_resumed_match_plain(
+        self, tmp_path, monkeypatch, method
+    ):
+        # Checkpointed runs accept only kill_after_shards plans; strip
+        # any ambient REPRO_FAULTS plan (as tests/ckpt/conftest.py does).
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         kind = "repeated" if method == "kore" else "shuffled"
         paths = write_documents(tmp_path / "corpus", corpus_words(kind))
         plain = infer(paths, config=InferenceConfig(method=method)).render()

@@ -7,8 +7,11 @@ models never larger than needed (iDTD output stays within the source
 model whenever the source models are SOREs).
 """
 
+import os
 import random
+import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -108,3 +111,33 @@ def test_idtd_exact_on_representative_corpora(dtd, seed):
         from repro.regex.language import matches
 
         assert all(matches(learned_model, word) for word in sequences)
+
+
+SAMPLE_READERS = [
+    pytest.param({"numeric": True}, id="numeric"),
+    pytest.param({"support_threshold": 2}, id="support_threshold"),
+]
+
+
+@pytest.mark.parametrize("options", SAMPLE_READERS)
+@RELAXED
+@given(random_dtds(), st.integers(min_value=0, max_value=2**31))
+def test_sample_readers_identical_across_pipelines(options, dtd, seed):
+    """numeric and support_threshold re-read the full sample, which the
+    one evidence representation keeps on every pipeline shape: batch,
+    streaming and sharded runs render byte-identical DTDs."""
+    corpus = XmlGenerator(dtd, random.Random(seed)).corpus(24)
+    with tempfile.TemporaryDirectory() as directory:
+        paths = []
+        for index, document in enumerate(corpus):
+            path = os.path.join(directory, f"d{index:02d}.xml")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(serialize(document))
+            paths.append(path)
+        batch = infer(paths, config=InferenceConfig(**options)).render()
+        streaming = infer(
+            paths, config=InferenceConfig(streaming=True, **options)
+        ).render()
+        sharded = infer(paths, config=InferenceConfig(jobs=2, **options)).render()
+    assert streaming == batch
+    assert sharded == batch

@@ -19,7 +19,7 @@ from repro.runtime.parallel import (
     warm_pool,
 )
 from repro.xmlio.dtd import parse_dtd
-from repro.learning.evidence import extract_evidence, extract_streaming_evidence
+from repro.learning.evidence import extract_evidence
 from repro.xmlio.parser import parse_file
 
 DTD_SOURCES = [
@@ -73,7 +73,7 @@ class TestStreamingEqualsBatch:
     @pytest.mark.parametrize("method", ["auto", "idtd", "crx"])
     def test_streamed_dtd_identical(self, tmp_path, source, method):
         paths = write_corpus(tmp_path, source, 12)
-        evidence = extract_streaming_evidence(
+        evidence = extract_evidence(
             parse_file(path) for path in paths
         )
         inferencer = DTDInferencer(method=method)
@@ -160,14 +160,16 @@ class TestParallelEvidence:
         counters = recorder.snapshot()["counters"]
         assert counters["parallel.backend.thread"] == 1
 
-    def test_numeric_rejected_on_streaming_path(self, tmp_path):
-        paths = write_corpus(tmp_path, DTD_SOURCES[0], 4)
-        inferencer = DTDInferencer(numeric=True)
-        evidence = extract_streaming_evidence(
-            parse_file(path) for path in paths
+    def test_numeric_over_shard_evidence_matches_batch(self, tmp_path):
+        paths = write_corpus(tmp_path, DTD_SOURCES[0], 12)
+        evidence = parallel_evidence(
+            paths, jobs=2, backend="thread", keep_sample=True
         )
-        with pytest.raises(ValueError, match="full child-sequence sample"):
-            inferencer._finalize_streaming(evidence)
+        sharded = DTDInferencer(numeric=True)._finalize(evidence).render()
+        batch = DTDInferencer(numeric=True)._finalize(
+            extract_evidence(parse_file(path) for path in paths)
+        ).render()
+        assert sharded == batch
 
 
 class TestChooseBackend:

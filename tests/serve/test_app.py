@@ -154,6 +154,25 @@ class TestInfer:
         assert response.status == 200
         assert response.payload["xsd"] == api.infer(DOCS).to_xsd()
 
+    def test_sire_xsd_is_an_all_group(self, app):
+        documents = [
+            "<r><a/><b/><c/></r>",
+            "<r><c/><b/><a/></r>",
+            "<r><b/><a/><c/></r>",
+        ]
+        body = {"documents": documents, "config": {"method": "sire"}}
+        response = call(app, "POST", "/infer", {**body, "format": "xsd"})
+        assert response.status == 200
+        assert "<xs:all>" in response.payload["xsd"]
+
+    def test_sire_xsd_beyond_all_groups_is_400(self, app):
+        documents = ["<r><a/><b/><a/></r>", "<r><a/><b/></r>", "<r><b/><a/><a/></r>"]
+        body = {"documents": documents, "config": {"method": "sire"}}
+        assert "&" in call(app, "POST", "/infer", body).payload["dtd"]
+        response = call(app, "POST", "/infer", {**body, "format": "xsd"})
+        assert response.status == 400
+        assert "'r'" in response.payload["error"]["message"]
+
     def test_unknown_format_is_400(self, app):
         response = call(
             app, "POST", "/infer", {"documents": DOCS, "format": "rng"}

@@ -5,7 +5,6 @@ from repro.learning.evidence import (
     WordBag,
     child_sequences,
     extract_evidence,
-    extract_streaming_evidence,
 )
 from repro.xmlio.parser import parse_document
 
@@ -51,7 +50,7 @@ class TestEvidence:
     def test_empty_corpus(self):
         evidence = extract_evidence([])
         assert evidence.majority_root() is None
-        assert evidence.samples() == {}
+        assert evidence.elements == {}
 
     def test_text_values_collected_for_sniffing(self):
         corpus = docs("<r><y>1999</y><y>2006</y></r>")
@@ -109,17 +108,19 @@ class TestWordBag:
 class TestStreamingEvidence:
     def test_constant_size_in_occurrence_count(self):
         corpus = docs(*["<r><a/><a/></r>"] * 300)
-        evidence = extract_streaming_evidence(corpus)
+        evidence = extract_evidence(corpus)
         element = evidence.elements["r"]
         assert element.occurrences == 300
         assert element.nonempty_count == 300
-        # no per-occurrence storage: one SOA edge, one CRX profile
-        assert len(element.soa.soa.edges) == 1
-        assert len(element.crx.state.profiles) == 1
+        # no per-occurrence storage: one distinct word, hence one SOA
+        # edge and one CRX profile
+        assert len(element.child_sequences.counts) == 1
+        assert len(element.learner("idtd").soa.edges) == 1
+        assert len(element.learner("crx").state.profiles) == 1
 
     def test_counters_and_alphabet(self):
         corpus = docs("<r><a/><b/></r>", "<r/>", "<r>text</r>")
-        element = extract_streaming_evidence(corpus).elements["r"]
+        element = extract_evidence(corpus).elements["r"]
         assert element.nonempty_count == 1
         assert element.empty_count == 2
         assert element.has_text
@@ -127,21 +128,25 @@ class TestStreamingEvidence:
 
     def test_merge_matches_single_pass(self):
         texts = ["<r><a/></r>", "<r><a/><b/></r>", '<r x="1"/>', "<other/>"]
-        whole = extract_streaming_evidence(docs(*texts))
-        left = extract_streaming_evidence(docs(*texts[:2]))
-        right = extract_streaming_evidence(docs(*texts[2:]))
+        whole = extract_evidence(docs(*texts))
+        left = extract_evidence(docs(*texts[:2]))
+        right = extract_evidence(docs(*texts[2:]))
         left.merge(right)
         assert left.document_count == whole.document_count
         assert left.majority_root() == whole.majority_root()
         for name in whole.elements:
             one, two = left.elements[name], whole.elements[name]
             assert one.occurrences == two.occurrences
-            assert one.soa.soa == two.soa.soa
-            assert one.crx.state.profiles == two.crx.state.profiles
+            assert one.child_sequences == two.child_sequences
+            assert one.learner("idtd").soa == two.learner("idtd").soa
+            assert (
+                one.learner("crx").state.profiles
+                == two.learner("crx").state.profiles
+            )
             assert one.attribute_presence == two.attribute_presence
 
     def test_reservoirs_capped(self):
-        evidence = extract_streaming_evidence(
+        evidence = extract_evidence(
             docs(*[f"<r><t>v{i}</t></r>" for i in range(SAMPLE_CAP + 5)])
         )
         assert len(evidence.elements["t"].text_values) == SAMPLE_CAP

@@ -13,6 +13,10 @@ unlabeled endpoints (:data:`SOURCE` and :data:`SINK`) plus the
 * every node labelled ``s+`` or ``(s+)?`` has a closure self-edge;
 * ``(r, r′)`` is a closure edge whenever some G-path from ``r`` to
   ``r′`` only crosses intermediate nodes with ε in their language.
+
+The closure is a table of integer bitmasks, one bit per node, so the
+rule and repair preconditions of :mod:`repro.core` are a handful of
+mask operations per node pair instead of set algebra.
 """
 
 from __future__ import annotations
@@ -37,17 +41,49 @@ def _is_plus_like(label: Regex) -> bool:
     return isinstance(label, Opt) and isinstance(label.inner, Plus)
 
 
+def bit(node: int) -> int:
+    """The closure-mask bit of ``node``: SINK is bit 0, SOURCE bit 1."""
+    return 1 << (node + 2)
+
+
+def members(mask: int) -> list[int]:
+    """Decode a closure mask into its node ids, in ascending order."""
+    nodes: list[int] = []
+    while mask:
+        low = mask & -mask
+        nodes.append(low.bit_length() - 3)
+        mask ^= low
+    return nodes
+
+
+def _through_nullable(adjacent: dict[int, int], nullable: int) -> dict[int, int]:
+    """Per node: the nodes reached by edges, crossing only nullable ones."""
+    reached: dict[int, int] = {}
+    for start, reach in adjacent.items():
+        crossed = 0
+        through = reach & nullable
+        while through:
+            low = through & -through
+            crossed |= low
+            reach |= adjacent[low.bit_length() - 3]
+            through = reach & nullable & ~crossed
+        reached[start] = reach
+    return reached
+
+
 @dataclass(frozen=True, slots=True)
 class Closure:
-    """The ε-closure ``G*``: predecessor and successor sets per node.
+    """The ε-closure ``G*`` as node bitmasks (see :func:`bit`).
 
-    Sets may contain :data:`SOURCE` (in predecessors) and :data:`SINK`
-    (in successors); the distinguished endpoints themselves also have
-    entries.
+    ``pred``/``succ`` map every node, the endpoints included, to the
+    mask of its closure predecessors/successors; ``out`` maps it to
+    the mask of its direct graph successors.  Bits ascend with node
+    ids, so :func:`members` yields nodes in sorted order.
     """
 
-    pred: dict[int, frozenset[int]]
-    succ: dict[int, frozenset[int]]
+    pred: dict[int, int]
+    succ: dict[int, int]
+    out: dict[int, int]
 
 
 class GFA:
@@ -217,34 +253,33 @@ class GFA:
     # -- ε-closure (Section 5) -------------------------------------------------
 
     def closure(self) -> Closure:
-        nullable = {
-            node for node, label in self.labels.items() if label.nullable()
+        """``G*`` in O(n) mask operations per node.
+
+        A node's closure successors are its graph successors plus,
+        transitively, those of every nullable node it reaches; closure
+        predecessors are the same search over reversed edges.
+        """
+        # ``bit`` inlined: these two tables are the closure's bulk.
+        out = {
+            node: sum([1 << (head + 2) for head in heads])
+            for node, heads in self._out.items()
         }
-        succ: dict[int, set[int]] = {}
-        every_node = [SOURCE, SINK, *self.labels]
-        for start in every_node:
-            reachable: set[int] = set()
-            frontier = list(self._out[start])
-            visited_through: set[int] = set()
-            while frontier:
-                node = frontier.pop()
-                if node not in reachable:
-                    reachable.add(node)
-                    if node in nullable and node not in visited_through:
-                        visited_through.add(node)
-                        frontier.extend(self._out[node])
-            succ[start] = reachable
+        into = {
+            node: sum([1 << (tail + 2) for tail in tails])
+            for node, tails in self._in.items()
+        }
+        nullable = plus_like = 0
         for node, label in self.labels.items():
+            if label.nullable():
+                nullable |= bit(node)
             if _is_plus_like(label):
-                succ[node].add(node)
-        pred: dict[int, set[int]] = {node: set() for node in every_node}
-        for tail, heads in succ.items():
-            for head in heads:
-                pred[head].add(tail)
-        return Closure(
-            pred={node: frozenset(values) for node, values in pred.items()},
-            succ={node: frozenset(values) for node, values in succ.items()},
-        )
+                plus_like |= bit(node)
+        succ = _through_nullable(out, nullable)
+        pred = _through_nullable(into, nullable)
+        for node in members(plus_like):
+            succ[node] |= bit(node)
+            pred[node] |= bit(node)
+        return Closure(pred=pred, succ=succ, out=out)
 
     # -- language ---------------------------------------------------------------
 

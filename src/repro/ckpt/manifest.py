@@ -49,9 +49,15 @@ class ShardEntry:
 
 @dataclass
 class Manifest:
-    """The decoded manifest; ``complete`` marks a finished run."""
+    """The decoded manifest; ``complete`` marks a finished run.
+
+    ``sample_cap`` and ``distinct_cap`` are the evidence build constants
+    the shard states were written under.  ``distinct_cap`` is ``None``
+    for a manifest written before the field existed.
+    """
 
     sample_cap: int
+    distinct_cap: int | None
     shards: list[ShardEntry] = field(default_factory=list)
     complete: bool = False
 
@@ -60,6 +66,7 @@ class Manifest:
             "magic": MANIFEST_MAGIC,
             "version": MANIFEST_VERSION,
             "sample_cap": self.sample_cap,
+            "distinct_cap": self.distinct_cap,
             "complete": self.complete,
             "shards": [
                 {
@@ -142,11 +149,15 @@ def load_manifest(run_dir: str | os.PathLike[str]) -> Manifest | None:
     sample_cap = document.get("sample_cap")
     if not isinstance(sample_cap, int):
         raise StateDecodeError("manifest lacks an integer sample_cap")
+    distinct_cap = document.get("distinct_cap")
+    if distinct_cap is not None and not isinstance(distinct_cap, int):
+        raise StateDecodeError("manifest distinct_cap is not an integer")
     shards = document.get("shards")
     if not isinstance(shards, list):
         raise StateDecodeError("manifest lacks a shard list")
     return Manifest(
         sample_cap=sample_cap,
+        distinct_cap=distinct_cap,
         shards=[_shard_from_document(entry) for entry in shards],
         complete=bool(document.get("complete", False)),
     )

@@ -45,7 +45,8 @@ from ..contracts import (
     contracts_enabled,
 )
 from ..errors import UsageError
-from ..learning.evidence import SAMPLE_CAP, StreamingEvidence
+from ..learning import evidence as evidence_module
+from ..learning.evidence import StreamingEvidence
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..runtime.parallel import Backend, Item, merge_evidence, parallel_evidence
 from ..runtime.resilience import CRASH_EXIT_STATUS, FaultPlan
@@ -68,6 +69,11 @@ class _Reused:
     documents: tuple[DocumentEntry, ...]
     evidence: StreamingEvidence
     shard_entry: ShardEntry
+
+
+def _caps() -> tuple[int, int]:
+    """The evidence caps in force now, read from the module at call time."""
+    return evidence_module.SAMPLE_CAP, evidence_module.DISTINCT_CAP
 
 
 def _find_run(
@@ -101,9 +107,10 @@ def _reusable_shards(
     """
     if old is None:
         return []
-    if old.sample_cap != SAMPLE_CAP:
-        # Reservoir truncation depends on the cap; states written under
-        # a different build constant cannot reproduce today's bytes.
+    if (old.sample_cap, old.distinct_cap) != _caps():
+        # Reservoir truncation and bag compaction depend on the caps;
+        # states written under different build constants (or before the
+        # distinct cap was recorded) cannot reproduce today's bytes.
         recorder.count("ckpt.corrupt", len(old.shards))
         return []
     hashes = [entry.sha256 for entry in entries]
@@ -222,7 +229,8 @@ def checkpointed_evidence(
         )
         segments = _fresh_segments(entries, reused)
 
-        manifest = Manifest(sample_cap=SAMPLE_CAP)
+        sample_cap, distinct_cap = _caps()
+        manifest = Manifest(sample_cap=sample_cap, distinct_cap=distinct_cap)
         durable = [(entry.start, entry.shard_entry) for entry in reused]
         parts = [(entry.start, entry.evidence) for entry in reused]
         shard_dir = os.path.join(run_dir, SHARD_DIR)

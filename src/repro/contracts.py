@@ -7,8 +7,8 @@ never enforces at runtime:
   ``(I, F, S)`` triple only mentions known symbols — Section 4);
 * every rewrite/repair step leaves the GFA well-formed: the adjacency
   maps stay mirrored, no edge enters the source or leaves the sink,
-  labels stay single-occurrence and star-free (Section 5 keeps ``r*``
-  as ``(r+)?`` until post-processing);
+  labels stay single-occurrence, star-free (Section 5 keeps ``r*``
+  as ``(r+)?`` until post-processing) and in normal form;
 * every emitted expression is in Claim 1 normal form — re-normalizing
   it is a no-op (idempotence);
 * the classifiers agree with the learners: iDTD emits SOREs, CRX emits
@@ -140,10 +140,14 @@ def check_gfa(gfa: GFA, context: str = "rewrite") -> None:
     Checked after every rewrite rule application and every repair:
     adjacency maps mirror each other, the endpoints are intact, and
     the labels are single-occurrence and star-free (during rewriting
-    ``r*`` must stay represented as ``(r+)?``).
+    ``r*`` must stay represented as ``(r+)?``), and every label is in
+    star-free normal form, ``expand_stars(normalize(label))``.  The
+    rewrite rules rely on the last one: they normalise only the top
+    node of a new label.
     """
     from .automata.gfa import SINK, SOURCE
     from .regex.ast import Star
+    from .regex.normalize import expand_stars, normalize
 
     out_edges = {
         (tail, head) for tail, heads in gfa._out.items() for head in heads
@@ -185,6 +189,13 @@ def check_gfa(gfa: GFA, context: str = "rewrite") -> None:
                 f"{context}.gfa-star-free",
                 f"node {node} carries a Kleene star mid-rewrite: {label}; "
                 "stars must stay in (r+)? form until post-processing",
+            )
+        if expand_stars(normalize(label)) != label:
+            raise _violated(
+                f"{context}.gfa-label-normal-form",
+                f"node {node} carries a label outside star-free normal "
+                f"form: {label!r}; the rewrite rules normalise only the "
+                "top node of each new label",
             )
 
 

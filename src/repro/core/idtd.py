@@ -31,7 +31,7 @@ from ..regex.ast import Plus, Regex, disj
 from ..regex.normalize import contract_stars, simplify
 from ..regex.printer import to_paper_syntax
 from .repair import Repair, find_repair
-from .rewrite import DEFAULT_ORDER, Application, rewrite_gfa
+from .rewrite import DEFAULT_ORDER, Application, _normalize_label, rewrite_gfa
 
 
 @dataclass
@@ -126,8 +126,7 @@ def _contract_scc(gfa: GFA) -> bool:
         labels = sorted(
             (gfa.labels[node] for node in component), key=to_paper_syntax
         )
-        merged_label = Plus(disj(*labels)) if len(labels) > 1 else Plus(labels[0])
-        merged = gfa.merge(list(component), merged_label)
+        merged = gfa.merge(list(component), _normalize_label(Plus(disj(*labels))))
         if gfa.has_edge(merged, merged):
             gfa.remove_edge(merged, merged)
         return True

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..automata.gfa import GFA, SINK, SOURCE, Closure
+from ..automata.gfa import GFA, SINK, SOURCE, Closure, bit, members
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,78 +47,79 @@ class Repair:
             gfa.add_edge(tail, head)
 
 
-def _has_internal_edge(gfa: GFA, members: tuple[int, ...]) -> bool:
-    return any(gfa.has_edge(tail, head) for tail in members for head in members)
+#: Endpoint bits: no edge may enter the source or leave the sink.
+_NOT_SINK = ~bit(SINK)
+_NOT_SOURCE = ~bit(SOURCE)
 
 
-def _equalising_edges(
-    gfa: GFA, closure: Closure, members: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
-    """The minimal edge additions enabling ``disjunction`` on ``members``.
+def _equalising_edges(closure: Closure, group: int) -> tuple[tuple[int, int], ...]:
+    """The minimal edge additions enabling ``disjunction`` on ``group``.
 
     Externally, every member's closure neighbourhood is raised to the
     union of the members' neighbourhoods (outside the set itself).
     Internally, if any graph edge runs between members, the member
     clique is completed — including self-loops — so the merged set
     lands in case (ii) of the disjunction dichotomy.  On the Figure 2
-    automaton with ``members = {a, c}`` this yields exactly the seven
-    edges missing relative to Figure 1.
+    automaton with members ``{a, c}`` this yields exactly the seven
+    edges missing relative to Figure 1.  A closure edge is never
+    missing from the graph, so only the internal edges need a graph
+    check.
     """
-    member_set = set(members)
-    pred_union = set().union(*(closure.pred[m] for m in members)) - member_set
-    succ_union = set().union(*(closure.succ[m] for m in members)) - member_set
-    additions: set[tuple[int, int]] = set()
-    for member in members:
-        for predecessor in pred_union - closure.pred[member]:
-            if predecessor != SINK:
-                additions.add((predecessor, member))
-        for successor in succ_union - closure.succ[member]:
-            if successor != SOURCE:
-                additions.add((member, successor))
-    if _has_internal_edge(gfa, members):
-        for tail in members:
-            for head in members:
-                if not gfa.has_edge(tail, head):
-                    additions.add((tail, head))
-    return tuple(sorted(edge for edge in additions if not gfa.has_edge(*edge)))
+    pred, succ, out = closure.pred, closure.succ, closure.out
+    group_members = members(group)
+    pred_union = succ_union = 0
+    for member in group_members:
+        pred_union |= pred[member]
+        succ_union |= succ[member]
+    pred_union &= ~group & _NOT_SINK
+    succ_union &= ~group & _NOT_SOURCE
+    additions: list[tuple[int, int]] = []
+    internal = any(out[member] & group for member in group_members)
+    for member in group_members:
+        additions += [
+            (tail, member) for tail in members(pred_union & ~pred[member])
+        ]
+        additions += [
+            (member, head) for head in members(succ_union & ~succ[member])
+        ]
+        if internal:
+            additions += [
+                (member, head) for head in members(group & ~out[member])
+            ]
+    return tuple(sorted(additions))
 
 
 def find_enable_disjunction_b(gfa: GFA, closure: Closure) -> Repair | None:
     """Precondition (b): a set of mutually adjacent states.
 
     Every member must be a closure-predecessor *and* -successor of every
-    other member.  We grow a maximal clique greedily from the best pair
-    and prefer candidates needing the fewest new edges.
+    other member.  We grow a maximal clique greedily from each mutual
+    pair and prefer cliques needing the fewest new edges.  Pairs inside
+    one clique mostly grow that clique again; its edges are identical,
+    so a repeat is never strictly better and is not scored twice.
     """
-    nodes = sorted(gfa.nodes())
+    # The source is in no succ mask and the sink in no pred mask, so
+    # ``mutual`` holds labelled nodes only.
     mutual = {
-        (u, v)
-        for u in nodes
-        for v in nodes
-        if u < v
-        and v in closure.succ[u]
-        and v in closure.pred[u]
-        and u in closure.succ[v]
-        and u in closure.pred[v]
+        node: closure.succ[node] & closure.pred[node] & ~bit(node)
+        for node in gfa.nodes()
     }
-    if not mutual:
-        return None
     best: Repair | None = None
-    for u, v in sorted(mutual):
-        clique = [u, v]
-        for candidate in nodes:
-            if candidate in clique:
+    scored: set[int] = set()
+    for u in sorted(mutual):
+        for v in members(mutual[u] & -(bit(u) << 1)):  # mutual pairs u < v
+            clique = bit(u) | bit(v)
+            common = mutual[u] & mutual[v]
+            for candidate in members(common):
+                if common & bit(candidate):
+                    clique |= bit(candidate)
+                    common &= mutual[candidate]
+            if clique in scored:
                 continue
-            if all(
-                (min(candidate, member), max(candidate, member)) in mutual
-                for member in clique
-            ):
-                clique.append(candidate)
-        members = tuple(sorted(clique))
-        edges = _equalising_edges(gfa, closure, members)
-        repair = Repair("enable_disjunction_b", members, edges)
-        if best is None or len(edges) < len(best.new_edges):
-            best = repair
+            scored.add(clique)
+            edges = _equalising_edges(closure, clique)
+            if best is None or len(edges) < len(best.new_edges):
+                best = Repair("enable_disjunction_b", tuple(members(clique)), edges)
     return best
 
 
@@ -134,27 +135,26 @@ def find_enable_disjunction_a(
     them would over-generalise (e.g. folding the trailing ``a5*`` of
     Table 2's example4 into the big disjunction).
     """
+    pred, succ, out = closure.pred, closure.succ, closure.out
     nodes = sorted(gfa.nodes())
     best: Repair | None = None
     for index, u in enumerate(nodes):
         for v in nodes[index + 1 :]:
-            pair = {u, v}
-            pred_u, pred_v = closure.pred[u] - pair, closure.pred[v] - pair
-            succ_u, succ_v = closure.succ[u] - pair, closure.succ[v] - pair
+            pair = bit(u) | bit(v)
+            pred_u, pred_v = pred[u] & ~pair, pred[v] & ~pair
+            succ_u, succ_v = succ[u] & ~pair, succ[v] & ~pair
             if not (pred_u & pred_v) or not (succ_u & succ_v):
                 continue
             if (
-                len(pred_u - pred_v) > k
-                or len(pred_v - pred_u) > k
-                or len(succ_u - succ_v) > k
-                or len(succ_v - succ_u) > k
+                (pred_u & ~pred_v).bit_count() > k
+                or (pred_v & ~pred_u).bit_count() > k
+                or (succ_u & ~succ_v).bit_count() > k
+                or (succ_v & ~succ_u).bit_count() > k
             ):
                 continue
-            forward = gfa.has_edge(u, v)
-            backward = gfa.has_edge(v, u)
-            if forward != backward:
+            if bool(out[u] & bit(v)) != bool(out[v] & bit(u)):
                 continue  # sequenced, not interchangeable
-            edges = _equalising_edges(gfa, closure, (u, v))
+            edges = _equalising_edges(closure, pair)
             if not edges:
                 continue
             if best is None or len(edges) < len(best.new_edges):
@@ -162,20 +162,16 @@ def find_enable_disjunction_a(
     return best
 
 
-def _bypass_edges(
-    gfa: GFA, closure: Closure, node: int
-) -> tuple[tuple[int, int], ...]:
+def _bypass_edges(closure: Closure, node: int) -> tuple[tuple[int, int], ...]:
     """All missing Pred(node) × (Succ(node) \\ {node}) edges."""
-    additions = [
+    succ = closure.succ
+    node_bit = bit(node)
+    successors = succ[node] & ~node_bit & _NOT_SOURCE
+    return tuple(
         (predecessor, successor)
-        for predecessor in closure.pred[node] - {node}
-        for successor in closure.succ[node] - {node}
-        if predecessor != SINK
-        and successor != SOURCE
-        and not gfa.has_edge(predecessor, successor)
-        and successor not in closure.succ[predecessor]
-    ]
-    return tuple(sorted(set(additions)))
+        for predecessor in members(closure.pred[node] & ~node_bit & _NOT_SINK)
+        for successor in members(successors & ~succ[predecessor])
+    )
 
 
 def find_enable_optional_a(gfa: GFA, closure: Closure) -> Repair | None:
@@ -189,16 +185,13 @@ def find_enable_optional_a(gfa: GFA, closure: Closure) -> Repair | None:
     for node in sorted(gfa.nodes()):
         if gfa.labels[node].nullable():
             continue
-        predecessors = closure.pred[node]
-        successors = closure.succ[node] - {node}
-        has_bypass = any(
-            gfa.has_edge(predecessor, successor)
-            for predecessor in predecessors
-            for successor in successors
-        )
-        if not has_bypass:
+        successors = closure.succ[node] & ~bit(node)
+        if not any(
+            closure.out[predecessor] & successors
+            for predecessor in members(closure.pred[node])
+        ):
             continue
-        edges = _bypass_edges(gfa, closure, node)
+        edges = _bypass_edges(closure, node)
         if not edges:
             continue  # optional is already enabled; rewrite handles it
         if best is None or len(edges) < len(best.new_edges):
@@ -213,14 +206,14 @@ def find_enable_optional_b(gfa: GFA, closure: Closure, k: int) -> Repair | None:
         if gfa.labels[node].nullable():
             continue
         predecessors = closure.pred[node]
-        if len(predecessors) != 1:
+        if predecessors.bit_count() != 1:
             continue
-        (sole,) = predecessors
+        (sole,) = members(predecessors)
         if sole in (SOURCE, SINK):
             continue
-        if len(closure.succ[sole] - {node, sole}) > k:
+        if (closure.succ[sole] & ~(bit(node) | bit(sole))).bit_count() > k:
             continue
-        edges = _bypass_edges(gfa, closure, node)
+        edges = _bypass_edges(closure, node)
         if not edges:
             continue
         if best is None or len(edges) < len(best.new_edges):

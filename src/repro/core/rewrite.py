@@ -33,13 +33,13 @@ import random
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
-from ..automata.gfa import GFA, SINK, SOURCE, Closure
+from ..automata.gfa import GFA, SINK, SOURCE, Closure, bit, members
 from ..automata.soa import SOA
 from ..contracts import check_emitted_sore, check_gfa, contracts_enabled
 from ..errors import InternalError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..regex.ast import Opt, Plus, Regex, disj
-from ..regex.normalize import contract_stars, normalize, simplify
+from ..regex.normalize import contract_stars, simplify
 from ..regex.printer import to_paper_syntax
 
 #: Default rule priority.  ``optional`` before ``disjunction`` matches
@@ -83,12 +83,24 @@ class RewriteResult:
 def _normalize_label(label: Regex) -> Regex:
     """Keep labels in the paper's star-free normal form.
 
-    ``(s+)+ → s+``, ``s?? → s?``, ``(s?)+ → (s+)?`` — i.e. normalize,
-    then re-expand any star the normalizer introduced back to ``(s+)?``.
+    ``(s+)+ → s+``, ``s?? → s?``, ``(s?)+ → (s+)?`` — the result equals
+    ``expand_stars(normalize(label))``.  Every GFA label is already in
+    that form (:func:`repro.contracts.check_gfa` asserts it), and a rule
+    only ever wraps or joins such labels, so only the new top node can
+    need a rewrite: concatenations and disjunctions of normal labels
+    are normal as they stand.
     """
-    from ..regex.normalize import expand_stars
-
-    return expand_stars(normalize(label))
+    if isinstance(label, Plus):
+        inner = label.inner
+        if isinstance(inner, Plus) or (
+            isinstance(inner, Opt) and isinstance(inner.inner, Plus)
+        ):
+            return inner
+        if isinstance(inner, Opt):
+            return Opt(Plus(inner.inner))
+    elif isinstance(label, Opt) and isinstance(label.inner, Opt):
+        return label.inner
+    return label
 
 
 # -- rule detection ----------------------------------------------------------
@@ -96,99 +108,94 @@ def _normalize_label(label: Regex) -> Regex:
 
 def _find_self_loop(gfa: GFA, closure: Closure) -> Application | None:
     for node in sorted(gfa.nodes()):
-        if gfa.has_edge(node, node):
+        if closure.out[node] & bit(node):
             return Application("self_loop", (node,))
     return None
 
 
 def _find_optional(gfa: GFA, closure: Closure) -> Application | None:
+    pred, succ, out = closure.pred, closure.succ, closure.out
     for node in sorted(gfa.nodes()):
-        nullable = gfa.labels[node].nullable()
-        if nullable:
+        node_bit = bit(node)
+        predecessors = pred[node]
+        if not predecessors:
+            continue
+        if gfa.labels[node].nullable():
             # Re-applying ``?`` is a no-op on the label (``r??`` is not
             # normalized), so for progress the step must remove at
             # least one direct bypass edge.  This arises after repairs
             # re-introduce bypass edges around an optional state.
-            direct_succ = gfa.successors(node) - {node}
-            has_bypass = any(
-                gfa.has_edge(predecessor, successor)
-                for predecessor in gfa.predecessors(node) - {node}
-                for successor in direct_succ
-            )
-            if not has_bypass:
+            # Graph predecessors are among the closure predecessors.
+            direct_succ = out[node] & ~node_bit
+            if not any(
+                out[tail] & node_bit and out[tail] & direct_succ
+                for tail in members(predecessors & ~node_bit)
+            ):
                 continue
-        predecessors = closure.pred[node]
-        if not predecessors:
-            continue
-        successors = closure.succ[node]
+        successors = succ[node]
         if all(
-            successors <= closure.succ[predecessor]
-            for predecessor in predecessors
+            not successors & ~succ[predecessor]
+            for predecessor in members(predecessors)
         ):
             return Application("optional", (node,))
     return None
 
 
-def _disjunction_case(
-    gfa: GFA, closure: Closure, members: Sequence[int]
-) -> bool | None:
+def _disjunction_case(closure: Closure, group: int) -> bool | None:
     """The paper's case dichotomy for a candidate disjunction set.
 
-    Returns ``False`` for case (i) — no graph edges between members,
-    merge without a self-loop; ``True`` for case (ii) — every ordered
-    member pair (including a member with itself) is closure-adjacent,
-    merge with a self-loop; ``None`` when neither holds, in which case
-    the rule is not applicable.
+    ``group`` is the member mask.  Returns ``False`` for case (i) — no
+    graph edges between members, merge without a self-loop; ``True``
+    for case (ii) — every ordered member pair (including a member with
+    itself) is closure-adjacent, merge with a self-loop; ``None`` when
+    neither holds, in which case the rule is not applicable.
     """
-    internal = any(
-        gfa.has_edge(tail, head) for tail in members for head in members
-    )
-    if not internal:
+    tails = members(group)
+    if not any(closure.out[tail] & group for tail in tails):
         return False
-    if all(head in closure.succ[tail] for tail in members for head in members):
+    if all(closure.succ[tail] & group == group for tail in tails):
         return True
     return None
 
 
-def _neighbourhoods_match(
-    closure: Closure, members: set[int], first: int, second: int
-) -> bool:
-    """Equal predecessor/successor sets, compared modulo the set itself.
-
-    Members are excluded from the comparison because closure self-edges
-    (a ``s+`` label, rule (i) of the ε-closure) and intra-set edges
-    otherwise make the sets trivially unequal; the case dichotomy of
-    :func:`_disjunction_case` accounts for the intra-set structure.
-    """
-    return (
-        closure.pred[first] - members == closure.pred[second] - members
-        and closure.succ[first] - members == closure.succ[second] - members
-    )
-
-
 def _find_disjunction(gfa: GFA, closure: Closure) -> Application | None:
-    nodes = sorted(gfa.nodes())
-    for index, first in enumerate(nodes):
-        for second in nodes[index + 1 :]:
-            members = {first, second}
-            if not _neighbourhoods_match(closure, members, first, second):
+    """A maximal set whose neighbourhoods are equal modulo the set.
+
+    The set's own members are left out of the comparison because
+    closure self-edges (a ``s+`` label) and intra-set edges otherwise
+    make the neighbourhoods trivially unequal; the case dichotomy of
+    :func:`_disjunction_case` accounts for the intra-set structure.
+    Equality modulo a fixed set is an equivalence, so it is enough to
+    compare every member with the first one.
+    """
+    rows = [
+        (node, bit(node), closure.pred[node], closure.succ[node])
+        for node in sorted(gfa.nodes())
+    ]
+    for index, (first, first_bit, first_pred, first_succ) in enumerate(rows):
+        for second, second_bit, second_pred, second_succ in rows[index + 1 :]:
+            group = first_bit | second_bit
+            # Where the members' neighbourhoods differ from the first's.
+            differ = (first_pred ^ second_pred) | (first_succ ^ second_succ)
+            if differ & ~group or _disjunction_case(closure, group) is None:
                 continue
-            if _disjunction_case(gfa, closure, (first, second)) is None:
-                continue
-            group = [first, second]
-            for candidate in nodes:
-                if candidate in group:
+            chosen = [first, second]
+            for candidate, candidate_bit, candidate_pred, candidate_succ in rows:
+                if group & candidate_bit:
                     continue
-                extended = set(group) | {candidate}
-                if all(
-                    _neighbourhoods_match(closure, extended, member, candidate)
-                    and _neighbourhoods_match(
-                        closure, extended, group[0], member
-                    )
-                    for member in group
-                ) and _disjunction_case(gfa, closure, tuple(extended)) is not None:
-                    group.append(candidate)
-            return Application("disjunction", tuple(group))
+                extended = group | candidate_bit
+                widened = (
+                    differ
+                    | (first_pred ^ candidate_pred)
+                    | (first_succ ^ candidate_succ)
+                )
+                if (
+                    not widened & ~extended
+                    and _disjunction_case(closure, extended) is not None
+                ):
+                    chosen.append(candidate)
+                    group, differ = extended, widened
+            return Application("disjunction", tuple(chosen))
     return None
 
 

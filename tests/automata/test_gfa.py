@@ -1,10 +1,14 @@
 """GFA mechanics: mutation, merge semantics, ε-closure, acceptance."""
 
-import pytest
+import random
 
-from repro.automata.gfa import GFA, SINK, SOURCE
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.automata.gfa import GFA, SINK, SOURCE, bit, members
 from repro.automata.soa import SOA
-from repro.regex.ast import Opt, Plus, Sym
+from repro.regex.ast import Opt, Plus, Regex, Sym, concat
 from repro.regex.parser import parse_regex
 
 
@@ -92,16 +96,77 @@ class TestStructure:
         assert len(gfa.nodes()) == 2
 
 
+def reference_closure(gfa: GFA) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    """The Section 5 ε-closure by plain set search: (pred, succ)."""
+    every_node = [SOURCE, SINK, *gfa.nodes()]
+    succ: dict[int, set[int]] = {}
+    for start in every_node:
+        reachable: set[int] = set()
+        frontier = list(gfa.successors(start))
+        while frontier:
+            node = frontier.pop()
+            if node in reachable:
+                continue
+            reachable.add(node)
+            if node not in (SOURCE, SINK) and gfa.labels[node].nullable():
+                frontier.extend(gfa.successors(node))
+        succ[start] = reachable
+    for node, label in gfa.labels.items():
+        if isinstance(label, Plus) or (
+            isinstance(label, Opt) and isinstance(label.inner, Plus)
+        ):
+            succ[node].add(node)
+    pred: dict[int, set[int]] = {node: set() for node in every_node}
+    for tail, heads in succ.items():
+        for head in heads:
+            pred[head].add(tail)
+    return pred, succ
+
+
+def random_gfa(seed: int) -> GFA:
+    """Random labels (plain, ``s?``, ``s+``, ``(s+)?``, nullable chains)."""
+    rng = random.Random(seed)
+    gfa = GFA()
+    for index in range(rng.randint(1, 9)):
+        base: Regex = Sym(f"s{index}")
+        if rng.random() < 0.2:
+            base = concat(Opt(base), Opt(Sym(f"t{index}")))
+        shape = rng.choice(("plain", "opt", "plus", "star"))
+        if shape == "opt":
+            base = Opt(base)
+        elif shape == "plus":
+            base = Plus(base)
+        elif shape == "star":
+            base = Opt(Plus(base))
+        gfa.add_node(base)
+    nodes = gfa.nodes()
+    density = rng.choice((0.15, 0.3, 0.5))
+    for tail in [SOURCE, *nodes]:
+        for head in [*nodes, SINK]:
+            if rng.random() < density:
+                gfa.add_edge(tail, head)
+    if rng.random() < 0.3:
+        gfa.add_edge(SOURCE, SINK)
+    return gfa
+
+
 class TestClosure:
+    def test_bit_layout(self):
+        assert bit(SINK) == 1
+        assert bit(SOURCE) == 2
+        assert bit(0) == 4
+        assert members(bit(SINK) | bit(SOURCE) | bit(3)) == [SINK, SOURCE, 3]
+        assert members(0) == []
+
     def test_plus_like_nodes_get_self_edges(self):
         gfa = GFA()
         plus = gfa.add_node(Plus(Sym("a")))
         optional_plus = gfa.add_node(Opt(Plus(Sym("b"))))
         plain = gfa.add_node(Sym("c"))
         closure = gfa.closure()
-        assert plus in closure.succ[plus]
-        assert optional_plus in closure.succ[optional_plus]
-        assert plain not in closure.succ[plain]
+        assert plus in members(closure.succ[plus])
+        assert optional_plus in members(closure.succ[optional_plus])
+        assert plain not in members(closure.succ[plain])
 
     def test_paths_through_nullable_nodes(self):
         gfa = GFA()
@@ -113,12 +178,12 @@ class TestClosure:
         gfa.add_edge(b, c)
         gfa.add_edge(c, SINK)
         closure = gfa.closure()
-        assert c in closure.succ[a]  # through nullable b
-        assert a in closure.pred[c]
-        assert c in closure.succ[b]  # direct edge
-        assert SINK in closure.succ[c]
-        assert SINK not in closure.succ[b]  # c is not nullable
-        assert SOURCE in closure.pred[a]
+        assert c in members(closure.succ[a])  # through nullable b
+        assert a in members(closure.pred[c])
+        assert c in members(closure.succ[b])  # direct edge
+        assert SINK in members(closure.succ[c])
+        assert SINK not in members(closure.succ[b])  # c is not nullable
+        assert SOURCE in members(closure.pred[a])
 
     def test_non_nullable_nodes_block_paths(self):
         gfa = GFA()
@@ -128,7 +193,18 @@ class TestClosure:
         gfa.add_edge(a, b)
         gfa.add_edge(b, c)
         closure = gfa.closure()
-        assert c not in closure.succ[a]
+        assert c not in members(closure.succ[a])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_masks_match_reference_closure(self, seed):
+        gfa = random_gfa(seed)
+        closure = gfa.closure()
+        pred, succ = reference_closure(gfa)
+        for node in [SOURCE, SINK, *gfa.nodes()]:
+            assert set(members(closure.succ[node])) == succ[node]
+            assert set(members(closure.pred[node])) == pred[node]
+            assert set(members(closure.out[node])) == gfa.successors(node)
 
 
 class TestAcceptance:

@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import json
 import os
+import random
 
 from repro.api import InferenceConfig, infer
+from repro.ckpt.codec import evidence_digest
 from repro.ckpt.manifest import MANIFEST_NAME, load_manifest
+from repro.ckpt.runner import checkpointed_evidence
+from repro.contracts import contracts_active
+from repro.learning import evidence as evidence_module
 from repro.obs.recorder import StatsRecorder
+from repro.runtime.parallel import extract_from_paths
 
 from .conftest import write_corpus
 
@@ -161,3 +167,63 @@ class TestDegradedCaches:
         assert counters.get("ckpt.hit") is None
         assert counters.get("ckpt.write") == JOBS
         assert rendered == first
+
+    def test_manifest_without_distinct_cap_is_a_mismatch(self, tmp_path):
+        paths, state, first = first_run(tmp_path)
+        manifest_path = os.path.join(state, MANIFEST_NAME)
+        with open(manifest_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        assert payload["distinct_cap"] == evidence_module.DISTINCT_CAP
+        del payload["distinct_cap"]  # as written before the field existed
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        assert load_manifest(state).distinct_cap is None
+
+        rendered, counters = checkpointed(paths, state, resume=True)
+        assert counters.get("ckpt.corrupt") == JOBS
+        assert counters.get("ckpt.hit") is None
+        assert rendered == first
+
+    def test_distinct_cap_change_reparses_to_fresh_evidence(
+        self, tmp_path, monkeypatch
+    ):
+        """Shards compacted under another cap must not be reused."""
+        rng = random.Random(3)
+        paths = []
+        for index in range(COUNT):
+            word = [f"s{rng.randrange(12)}" for _ in range(rng.randint(1, 9))]
+            path = tmp_path / f"w{index:03d}.xml"
+            path.write_text(
+                "<r>" + "".join(f"<{name}/>" for name in word) + "</r>",
+                encoding="utf-8",
+            )
+            paths.append(str(path))
+        state = tmp_path / "run"
+        default_cap = evidence_module.DISTINCT_CAP
+        monkeypatch.setattr(evidence_module, "DISTINCT_CAP", 8)
+        small = checkpointed_evidence(
+            paths, state_dir=state, jobs=JOBS, backend="thread"
+        )
+        assert small.compacted()
+        assert load_manifest(state).distinct_cap == 8
+
+        monkeypatch.setattr(evidence_module, "DISTINCT_CAP", default_cap)
+        recorder = StatsRecorder()
+        with contracts_active():
+            resumed = checkpointed_evidence(
+                paths,
+                state_dir=state,
+                resume=True,
+                jobs=JOBS,
+                backend="thread",
+                recorder=recorder,
+            )
+        counters = recorder.snapshot()["counters"]
+        assert counters.get("ckpt.corrupt") == JOBS
+        assert counters.get("ckpt.hit") is None
+        assert evidence_digest(resumed) == evidence_digest(
+            extract_from_paths(paths)
+        )
+        assert load_manifest(state).distinct_cap == default_cap
+        rendered, _ = checkpointed(paths, state, resume=True)
+        assert rendered == fresh_render(paths)

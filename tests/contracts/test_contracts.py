@@ -182,6 +182,17 @@ class TestGfaMutations:
         with pytest.raises(ContractViolation, match="star-free"):
             check_gfa(gfa)
 
+    def test_non_normal_label_rejected(self):
+        gfa, node = self.make_gfa()
+        gfa.relabel(node, Plus(Plus(Sym("a"))))
+        with pytest.raises(ContractViolation, match="gfa-label-normal-form"):
+            check_gfa(gfa)
+
+    def test_normal_label_with_optional_plus_passes(self):
+        gfa, node = self.make_gfa()
+        gfa.relabel(node, Opt(Plus(Sym("a"))))
+        check_gfa(gfa)
+
 
 class TestEmittedExpressionMutations:
     def test_sore_in_normal_form_passes(self):

@@ -1,6 +1,6 @@
 """Repair rules of Section 6, including the Figure 2 → Figure 1 case."""
 
-from repro.automata.gfa import GFA, SOURCE
+from repro.automata.gfa import GFA, SOURCE, members
 from repro.core.repair import (
     find_enable_disjunction_a,
     find_enable_disjunction_b,
@@ -75,6 +75,9 @@ class TestPreconditions:
         )
         gfa = GFA.from_soa(soa)
         closure = gfa.closure()
+        a, b = sorted(gfa.nodes())
+        assert b in members(closure.succ[a])
+        assert a not in members(closure.succ[b])  # adjacent one way only
         assert find_enable_disjunction_b(gfa, closure) is None
 
     def test_enable_optional_a_needs_a_bypass_edge(self):

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from repro.automata.gfa import GFA
+from repro.automata.gfa import GFA, SOURCE, members
 from repro.core.numeric import annotate_numeric
 from repro.core.rewrite import (
     all_applications,
@@ -24,6 +24,8 @@ class TestFindApplication:
         first = find_application(gfa, closure=closure)
         second = find_application(gfa)  # computes its own closure
         assert first == second
+        initial = {str(gfa.labels[node]) for node in members(closure.succ[SOURCE])}
+        assert initial == {"a", "b", "c"}  # the words start with b, c and a
 
     def test_custom_priority_changes_first_rule(self):
         gfa = GFA.from_soa(tinf(FIGURE1_WORDS))
